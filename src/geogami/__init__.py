@@ -19,8 +19,7 @@ from .kinematics import (BodyState, MassLayout, RadiusInversionError,
                          world_com)
 from .locomotion import (ActuationProgram, DampingParams, EventKind,
                          ReleaseModel, SimEvent, SimTrace, Simulator,
-                         SupportPolygon, execute_roll, run_program,
-                         tipping_check)
+                         SupportPolygon, execute_roll, tipping_check)
 from .transmission import (EngagementSchedule, GearboxConfig,
                            RetractionWindowError, ScheduleMode, cable_force,
                            cable_retraction, driver_angle,

@@ -19,7 +19,7 @@ from . import compliance, transmission
 from .compliance import JointFamily, MeasurementFormatError
 from .config import (ConfigError, RunConfig, SIMULATION_MODES, load_config,
                      load_preset, write_atomic)
-from .locomotion import SimTrace
+from .locomotion import SimTrace, SimulationError, Simulator
 from .svgplot import trace_svg
 
 DEFAULT_PRESET = "paper-table1"
@@ -134,17 +134,16 @@ def _cmd_gearbox(args: argparse.Namespace) -> int:
 
 # -- simulate -----------------------------------------------------------------
 
-def _run_simulation(config: RunConfig, mode: Optional[str],
-                    origami: Optional[bool], dt: float,
-                    duration: Optional[float]) -> Tuple[SimTrace, str]:
+def _build_simulator(config: RunConfig, mode: Optional[str],
+                     origami: Optional[bool],
+                     duration: Optional[float]) -> Tuple[Simulator, str]:
     if duration is not None:
         # frozen dataclasses: rebuild with the overridden duration
         from dataclasses import replace as _replace
         config = _replace(config, program=_replace(config.program,
                                                    duration_s=duration))
     mode = mode or config.program.mode
-    simulator = config.build_simulator(mode=mode, origami=origami)
-    return simulator.run(dt=dt), mode
+    return config.build_simulator(mode=mode, origami=origami), mode
 
 
 def _trace_csv_text(trace: SimTrace) -> str:
@@ -156,8 +155,9 @@ def _trace_csv_text(trace: SimTrace) -> str:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     origami = None if args.origami is None else (args.origami == "on")
-    trace, mode = _run_simulation(config, args.mode, origami, args.dt,
-                                  args.duration_s)
+    simulator, mode = _build_simulator(config, args.mode, origami,
+                                       args.duration_s)
+    trace = simulator.run(dt=args.dt)
     out_dir = Path(args.out)
     trace_path = out_dir / f"trace_{mode}.csv"
     write_atomic(str(trace_path), _trace_csv_text(trace))
@@ -251,8 +251,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _set_config_value(data, args.param, value)
         config = RunConfig.from_dict(data)
         config.validate()
-        trace, _ = _run_simulation(config, None, None, args.dt,
-                                   args.duration_s)
+        simulator, _ = _build_simulator(config, None, None, args.duration_s)
+        trace = simulator.timeline()
         gearbox = config.build_gearbox()
         capacity = transmission.cable_force_from_motor_torque(
             gearbox.motor_torque, gearbox)
@@ -332,15 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Runs one simulation per value and aggregates "
                     "value,rolls,travel_mm,max_tension_N,stall; max_tension_N "
                     "is the cable force available at the configured motor "
-                    "torque.")
+                    "torque.  Only the event timeline is computed, so there "
+                    "is no time step to choose.")
     add_config_args(sweep)
     sweep.add_argument("--param", required=True,
                        help="dotted config field, e.g. gearbox.spool_radius_mm")
     sweep.add_argument("--values", help="comma-separated values")
     sweep.add_argument("--range", help="start:stop:step (inclusive)")
     sweep.add_argument("--out", default=".", help="output directory")
-    sweep.add_argument("--dt", type=float, default=1e-3,
-                       help="time step (s, default 1e-3)")
     sweep.add_argument("--duration-s", type=float, default=None,
                        help="override the program duration")
     sweep.set_defaults(func=_cmd_sweep)
@@ -352,8 +351,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, MeasurementFormatError, ValueError,
-            OSError) as exc:
+    except (CliError, ConfigError, MeasurementFormatError, SimulationError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

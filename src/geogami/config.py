@@ -342,13 +342,21 @@ def load_preset(name: str) -> RunConfig:
 
 
 def write_atomic(path: str, content: str) -> None:
-    """Write a file via a temp name + rename so readers never see partials."""
+    """Write a file via a temp name + rename so readers never see partials.
+
+    The file gets the mode ``open`` would give a new file (0666 less the
+    process umask), not the private 0600 of the temp file.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(content)
+        # reading the umask means setting it; no other thread writes files
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, target)
     except BaseException:
         if os.path.exists(tmp_name):

@@ -113,10 +113,12 @@ class ActuationProgram:
     bend_per_contraction: float = 0.0697   # rad/mm
 
     def __post_init__(self) -> None:
-        if self.motor_speed < 0:
-            raise ValueError("motor speed must be >= 0 (winding positive)")
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
+        if not (math.isfinite(self.motor_speed) and self.motor_speed >= 0):
+            raise ValueError("motor speed must be finite and >= 0 "
+                             "(winding positive)")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError(f"duration must be finite and >= 0, "
+                             f"got {self.duration}")
         if self.max_contraction is not None and self.max_contraction <= 0:
             raise ValueError("max_contraction must be > 0 or None")
         if self.bend_per_contraction <= 0:
@@ -265,6 +267,20 @@ class SimTrace:
     travel_mm: float = 0.0
     stalled: bool = False
     final_state: Optional[BodyState] = None
+
+    def absorb(self, events: Sequence[SimEvent]) -> bool:
+        """Append events in order, counting rolls; True once one stalls.
+
+        Events after a stall are dropped: the run ends there.
+        """
+        for event in events:
+            self.events.append(event)
+            if event.kind is EventKind.ROLL_COMPLETE:
+                self.rolls_completed += 1
+            elif event.kind is EventKind.STALL:
+                self.stalled = True
+                return True
+        return False
 
     def write_csv(self, stream: TextIO) -> None:
         def fmt(value: float, digits: int) -> str:
@@ -522,14 +538,49 @@ class Simulator:
 
     # -- full run -----------------------------------------------------------
 
-    def run(self, dt: float = 1e-3,
-            initial_state: Optional[BodyState] = None) -> SimTrace:
-        """Run the whole program, producing a deterministic trace."""
-        program = self.program
+    def _start(self, initial_state: Optional[BodyState]
+               ) -> Tuple[SimTrace, BodyState]:
+        """Reset the window cursor; open a trace with the initial engagements."""
         state = initial_state if initial_state is not None else self.initial_state()
         self._window = None
         self._sync_window(state.time)
-        trace = SimTrace()
+        motor_angle = self.program.motor_speed * state.time
+        trace = SimTrace(events=[
+            SimEvent(EventKind.ENGAGEMENT_START, state.time, motor_angle,
+                     state, corner=corner)
+            for corner in self._engaged_corners(state.time)])
+        return trace, state
+
+    @staticmethod
+    def _finish(trace: SimTrace, start: BodyState,
+                state: BodyState) -> SimTrace:
+        trace.final_state = state
+        trace.travel_mm = state.support_radius * (state.roll_angle -
+                                                  start.roll_angle)
+        return trace
+
+    def timeline(self, initial_state: Optional[BodyState] = None) -> SimTrace:
+        """Events and summary of the whole program, with no sampled records.
+
+        ``step`` already walks every window boundary, saturation and tip
+        inside an interval, so one step over the program duration finds
+        the rolls, travel and stall that ``run`` reports from its ``dt``
+        grid, at a cost set by the number of events.
+        """
+        trace, start = self._start(initial_state)
+        state = start
+        if self.program.duration > 0:
+            state, events = self.step(start, self.program.duration)
+            trace.absorb(events)
+        return self._finish(trace, start, state)
+
+    def run(self, dt: float = 1e-3,
+            initial_state: Optional[BodyState] = None) -> SimTrace:
+        """Run the whole program, producing a deterministic trace."""
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and > 0, got {dt}")
+        program = self.program
+        trace, start = self._start(initial_state)
         roll_times: List[Tuple[float, int]] = []
 
         def phi_display(t: float, phi: float) -> float:
@@ -551,25 +602,19 @@ class Simulator:
                 retractions=lengths, tensions=tensions, event=event))
 
         def absorb(events: List[SimEvent]) -> bool:
-            for event in events:
-                trace.events.append(event)
+            first = len(trace.events)
+            stalled = trace.absorb(events)
+            for event in trace.events[first:]:
                 if event.kind is EventKind.ROLL_COMPLETE:
-                    trace.rolls_completed += 1
                     roll_times.append((event.time, event.direction or 1))
                 record(event.state, event.token())
-                if event.kind is EventKind.STALL:
-                    trace.stalled = True
-                    return True
-            return False
+            return stalled
 
-        for corner in self._engaged_corners(state.time):
-            trace.events.append(SimEvent(
-                EventKind.ENGAGEMENT_START, state.time,
-                program.motor_speed * state.time, state, corner=corner))
-            record(state, trace.events[-1].token())
-        record(state)
+        for event in trace.events:
+            record(start, event.token())
+        record(start)
 
-        start = state
+        state = start
         n_steps = int(math.ceil(program.duration / dt - 1e-12)) \
             if program.duration > 0 else 0
         for k in range(n_steps):
@@ -578,20 +623,4 @@ class Simulator:
             if absorb(events):
                 break
             record(state)
-
-        trace.final_state = state
-        trace.travel_mm = state.support_radius * (state.roll_angle -
-                                                  start.roll_angle)
-        return trace
-
-
-def run_program(gearbox: GearboxConfig, layout: MassLayout,
-                sides: Sequence[SideAssembly], polygon: SupportPolygon,
-                program: ActuationProgram,
-                composition_law: CompositionLaw = CompositionLaw.ALL_SERIES,
-                initial_roll: float = 0.0, dt: float = 1e-3,
-                initial_state: Optional[BodyState] = None) -> SimTrace:
-    """Convenience wrapper: build a Simulator and run the program."""
-    sim = Simulator(gearbox, layout, sides, polygon, program,
-                    composition_law, initial_roll)
-    return sim.run(dt=dt, initial_state=initial_state)
+        return self._finish(trace, start, state)

@@ -3,13 +3,15 @@
 import dataclasses
 import json
 import math
+import os
+import stat
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from geogami.cli import main
 from geogami.config import (ConfigError, available_presets, dump_config,
-                            load_config, load_preset)
+                            load_config, load_preset, write_atomic)
 
 
 def write_config(tmp_path, config, name="run.json"):
@@ -58,6 +60,28 @@ class TestConfig:
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="unknown or missing"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("duration", ("NaN", "Infinity", "-1"))
+    def test_duration_must_be_finite_and_non_negative(self, tmp_path,
+                                                      duration):
+        # Python's json reads and writes the NaN and Infinity literals
+        data = load_preset("paper-table1").to_dict()
+        data["program"]["duration_s"] = float(duration)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert duration in path.read_text()
+        with pytest.raises(ConfigError, match="duration must be finite"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("umask", (0o022, 0o027), ids=oct)
+    def test_write_atomic_applies_umask(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            write_atomic(str(tmp_path / "out.txt"), "data\n")
+        finally:
+            os.umask(previous)
+        mode = stat.S_IMODE((tmp_path / "out.txt").stat().st_mode)
+        assert mode == 0o666 & ~umask
 
     def test_corner_count_cross_validation(self):
         config = load_preset("paper-table1")
@@ -333,3 +357,33 @@ class TestSweepCli:
         captured = capsys.readouterr()
         assert code == 2
         assert "not numeric" in captured.err
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dt", "0"],
+        ["simulate", "--dt", "-1"],
+        ["simulate", "--duration-s", "inf"],
+        ["simulate", "--duration-s", "nan"],
+        ["sweep", "--param", "gearbox.spool_radius_mm", "--values", "8",
+         "--duration-s", "inf"],
+        # keeps tipping: the engine raises SimulationError
+        ["sweep", "--param", "support.contact_lever_mm", "--values", "0"],
+    ])
+    def test_bad_input_gives_one_error_line(self, tmp_path, capsys, argv):
+        code = main(argv + ["--preset", "paper-table1",
+                            "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_has_no_time_step(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "symmetric-test",
+                  "--param", "gearbox.spool_radius_mm", "--values", "8",
+                  "--dt", "1e-3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dt" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geogami.compliance import SideAssembly
 from geogami.config import load_preset
@@ -279,6 +280,38 @@ class TestRunProgram:
             record_times = [r.time for r in trace.records]
             assert record_times == sorted(record_times)
 
+    @pytest.mark.parametrize("dt", (0.0, -1.0, math.nan, math.inf))
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            simulator(duration=1.0).run(dt=dt)
+
+
+class TestTimeline:
+    @settings(max_examples=3, deadline=None)
+    @given(spool=st.floats(5.0, 10.0),
+           mode=st.sampled_from(("cyclic", "spindle10")))
+    @example(spool=6.35, mode="cyclic")   # just below the tip threshold
+    @example(spool=6.40, mode="cyclic")   # just above it
+    def test_matches_fine_dt_run(self, spool, mode):
+        config = dataclasses.replace(CONFIG, gearbox=dataclasses.replace(
+            CONFIG.gearbox, spool_radius_mm=spool))
+        sim = config.build_simulator(mode=mode)
+        fast = sim.timeline()
+        fine = sim.run(dt=1e-3)
+        assert fast.records == []
+        assert (fast.rolls_completed, fast.travel_mm, fast.stalled) == \
+            (fine.rolls_completed, fine.travel_mm, fine.stalled)
+        if mode == "cyclic":
+            # spindle10 saturates two corners at one instant, and whether
+            # the engine emits the second depends on dt
+            assert [e.token() for e in fast.events] == \
+                [e.token() for e in fine.events]
+
+    def test_zero_duration_has_initial_engagements_only(self):
+        trace = simulator(duration=0.0).timeline()
+        assert [e.token() for e in trace.events] == ["engagement_start:4"]
+        assert trace.travel_mm == 0.0 and not trace.stalled
+
 
 class TestSpindleModes:
     def test_spindle10_saturates_then_stalls_without_rolling(self):
@@ -362,6 +395,14 @@ class TestProgramValidation:
         with pytest.raises(ValueError, match="winding positive"):
             ActuationProgram(motor_speed=-1.0, duration=1.0,
                              schedule=EngagementSchedule.constant())
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration", math.nan), ("duration", math.inf), ("duration", -1.0),
+        ("motor_speed", math.nan), ("motor_speed", math.inf)])
+    def test_non_finite_or_negative_rejected(self, field, value):
+        values = {"motor_speed": 1.0, "duration": 1.0, field: value}
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            ActuationProgram(schedule=EngagementSchedule.constant(), **values)
 
     def test_roll_quantum_by_mode(self):
         cyclic = ActuationProgram(
