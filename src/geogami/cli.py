@@ -245,14 +245,19 @@ def _sweep_values(args: argparse.Namespace) -> List[float]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _resolve_config(args)
     values = _sweep_values(args)
-    rows = []
+    # every point is checked before the first one runs
+    configs = []
     for value in values:
         data = base.to_dict()
         _set_config_value(data, args.param, value)
+        if args.duration_s is not None:
+            data["program"]["duration_s"] = args.duration_s
         config = RunConfig.from_dict(data)
         config.validate()
-        simulator, _ = _build_simulator(config, None, None, args.duration_s)
-        trace = simulator.timeline()
+        configs.append((value, config))
+    rows = []
+    for value, config in configs:
+        trace = config.build_simulator().timeline()
         gearbox = config.build_gearbox()
         capacity = transmission.cable_force_from_motor_torque(
             gearbox.motor_torque, gearbox)

@@ -24,7 +24,7 @@ from .compliance import CompositionLaw, SideAssembly
 from .kinematics import MassLayout
 from .locomotion import (ActuationProgram, DampingParams, ReleaseModel,
                          Simulator, SupportPolygon)
-from .transmission import EngagementSchedule, GearboxConfig
+from .transmission import EngagementSchedule, GearboxConfig, ScheduleMode
 
 SCHEMA_VERSION = 1
 PRESET_ENV_VAR = "GEOGAMI_PRESET_DIR"
@@ -155,15 +155,44 @@ class RunConfig:
                 "(set allow_damping_override to relax)")
         # builders run the per-field range checks of the domain types
         try:
-            self.build_gearbox()
-            self.build_layout()
-            self.build_sides()
+            gearbox = self.build_gearbox()
+            layout = self.build_layout()
+            sides = self.build_sides()
             self.build_polygon()
-            self.build_program()
+            program = self.build_program()
         except ConfigError:
             raise
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        self._check_stroke(gearbox, layout, sides, program)
+
+    def _check_stroke(self, gearbox: GearboxConfig, layout: MassLayout,
+                      sides: Tuple[SideAssembly, ...],
+                      program: ActuationProgram) -> None:
+        """Reject a stroke that would pull a corner through its rest radius.
+
+        A corner winds for at most the program's driver angle, and for at
+        most one sector arc per cyclic window; a spindle scales that by its
+        take-up.  The saturation cap stops both.  This checks one stroke,
+        so contraction a return-angle-limited release carries into the
+        next window is not counted.
+        """
+        sched = program.schedule
+        driver = program.motor_speed * program.duration / gearbox.worm_teeth
+        for corner, (side, rest) in enumerate(zip(sides, layout.rest_radii), 1):
+            if sched.mode is ScheduleMode.CYCLIC_SECTOR:
+                winding = min(driver, sched.sector_arc)
+            else:
+                winding = driver * sched.take_up[corner - 1]
+            reach = gearbox.spool_radius * gearbox.spool_per_driver \
+                * winding / side.routing_gain
+            if program.max_contraction is not None:
+                reach = min(reach, program.max_contraction)
+            if reach >= rest:
+                raise ConfigError(
+                    f"gearbox.spool_radius_mm {self.gearbox.spool_radius_mm} "
+                    f"pulls corner {corner} in by {reach:.3f} mm, which "
+                    f"reaches its rest radius {rest} mm")
 
     # -- builders (degrees -> radians happens here) ---------------------------
 
@@ -290,18 +319,27 @@ class RunConfig:
             raise ConfigError(f"unknown or missing config field: {exc}") from exc
 
 
+def _parse_config(text: str, source: str) -> RunConfig:
+    """Parse and validate one config document; ``source`` names it in errors."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{source}: invalid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{source}: top level must be a JSON object")
+    config = RunConfig.from_dict(data)
+    config.validate()
+    return config
+
+
 def load_config(path: str) -> RunConfig:
     """Load and validate a run configuration from a JSON file."""
     try:
         with open(path) as handle:
-            data = json.load(handle)
+            text = handle.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}")
-    config = RunConfig.from_dict(data)
-    config.validate()
-    return config
+    return _parse_config(text, path)
 
 
 def preset_dir() -> Optional[Path]:
@@ -335,10 +373,7 @@ def load_preset(name: str) -> RunConfig:
         raise ConfigError(
             f"unknown preset {name!r} "
             f"(available: {', '.join(available_presets())})")
-    data = json.loads(candidate.read_text())
-    config = RunConfig.from_dict(data)
-    config.validate()
-    return config
+    return _parse_config(candidate.read_text(), str(candidate))
 
 
 def write_atomic(path: str, content: str) -> None:

@@ -14,13 +14,16 @@ immutable configs and may execute in parallel.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import List, Optional, Sequence, TextIO, Tuple
+from operator import mul
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .compliance import (CompositionLaw, JointModel, SideAssembly,
                          cable_series_stiffness, default_joint_model,
                          JointFamily, return_angle)
+# world_com is unused here; bench/tracer.py counts its calls under this name
 from .kinematics import (BodyState, MassLayout, mass_offset_xy, radii,
                          world_com)
 from .transmission import EngagementSchedule, GearboxConfig, ScheduleMode
@@ -192,20 +195,15 @@ class TippingReport:
     pivot_index: int
 
 
-def tipping_check(layout: MassLayout, state: BodyState,
-                  polygon: SupportPolygon) -> TippingReport:
-    """Compare the world COM against the ground-contact pivot.
+def ground_pivots(polygon: SupportPolygon,
+                  roll_angle: float) -> Tuple[int, float, int, float]:
+    """Forward and rear ground-contact vertices at a roll angle.
 
-    Tipping iff the COM x strictly exceeds the pivot x (plus the contact
-    lever) in the roll direction; a COM exactly over the pivot is stable.
-    All x values are taken relative to the body center, which cancels the
-    common R*phi translation.
+    Returns ``(forward index, forward x, rear index, rear x)``, x relative
+    to the body center.  Vertices within a relative 1e-9 of the lowest
+    world height all touch the ground.
     """
-    c, s = math.cos(state.roll_angle), math.sin(state.roll_angle)
-    dbx, dby = mass_offset_xy(layout, state.radii)
-    com_x = c * dbx - s * dby
-    if not math.isfinite(com_x):
-        raise ValueError("degenerate state: COM is not finite")
+    c, s = math.cos(roll_angle), math.sin(roll_angle)
     min_y = math.inf
     for vx, vy in polygon.vertices:
         wy = s * vx + c * vy
@@ -219,6 +217,30 @@ def tipping_check(layout: MassLayout, state: BodyState,
         raise ValueError("degenerate support polygon: pivot undefined")
     rear_idx, rear_x = min(ground, key=lambda item: item[1])
     fwd_idx, fwd_x = max(ground, key=lambda item: item[1])
+    return fwd_idx, fwd_x, rear_idx, rear_x
+
+
+def tipping_check(layout: MassLayout, state: BodyState,
+                  polygon: SupportPolygon,
+                  offset: Optional[Tuple[float, float]] = None,
+                  pivots: Optional[Tuple[int, float, int, float]] = None
+                  ) -> TippingReport:
+    """Compare the world COM against the ground-contact pivot.
+
+    Tipping iff the COM x strictly exceeds the pivot x (plus the contact
+    lever) in the roll direction; a COM exactly over the pivot is stable.
+    All x values are taken relative to the body center, which cancels the
+    common R*phi translation.  A caller that already holds the state's
+    ``mass_offset_xy`` or its ``ground_pivots`` may pass them in.
+    """
+    c, s = math.cos(state.roll_angle), math.sin(state.roll_angle)
+    dbx, dby = mass_offset_xy(layout, state.radii) if offset is None \
+        else offset
+    com_x = c * dbx - s * dby
+    if not math.isfinite(com_x):
+        raise ValueError("degenerate state: COM is not finite")
+    fwd_idx, fwd_x, rear_idx, rear_x = ground_pivots(
+        polygon, state.roll_angle) if pivots is None else pivots
     lever = polygon.contact_lever
     if com_x > fwd_x + lever:
         return TippingReport(True, 1, com_x, fwd_x, rear_x, fwd_idx)
@@ -255,6 +277,10 @@ class TraceRecord:
 
 TRACE_CSV_HEADER = ("t_s,theta_m_rad,phi_rad,xG_mm,yG_mm,"
                     "L1_mm,L2_mm,L3_mm,L4_mm,T1_N,T2_N,T3_N,T4_N,event")
+# times and roll angles to 9 decimals, everything else to 6
+_CSV_ROW = "%.9f,%.6f,%.9f,%.6f,%.6f," + "%.6f," * 8 + "%s\n"
+# dust that rounds to zero prints as "-0.000..."; the trace writes "0.000..."
+_NEGATIVE_ZERO = re.compile(r"(?<![^,])-(?=0\.0+,)")
 
 
 @dataclass
@@ -283,18 +309,20 @@ class SimTrace:
         return False
 
     def write_csv(self, stream: TextIO) -> None:
-        def fmt(value: float, digits: int) -> str:
-            # rounding first keeps float dust from printing as "-0.000000"
-            return f"{round(value, digits) + 0.0:.{digits}f}"
-
+        # a StringIO keeps every string written to it, and a %-formatted
+        # row sits in an over-allocated block, so rows go out in batches
         stream.write(TRACE_CSV_HEADER + "\n")
+        rows: List[str] = []
         for r in self.records:
-            lengths = ",".join(fmt(v, 6) for v in r.retractions)
-            tensions = ",".join(fmt(v, 6) for v in r.tensions)
-            stream.write(
-                f"{fmt(r.time, 9)},{fmt(r.motor_angle, 6)},"
-                f"{fmt(r.roll_angle, 9)},{fmt(r.com_x, 6)},{fmt(r.com_y, 6)},"
-                f"{lengths},{tensions},{r.event}\n")
+            row = _CSV_ROW % (r.time, r.motor_angle, r.roll_angle, r.com_x,
+                              r.com_y, *r.retractions, *r.tensions, r.event)
+            if "-0.0" in row:
+                row = _NEGATIVE_ZERO.sub("", row)
+            rows.append(row)
+            if len(rows) == 1024:
+                stream.write("".join(rows))
+                rows.clear()
+        stream.write("".join(rows))
 
     def summary_line(self) -> str:
         stall = "yes" if self.stalled else "no"
@@ -329,15 +357,21 @@ class Simulator:
         base = gearbox.spool_radius * gearbox.spool_per_driver \
             * program.motor_speed / gearbox.worm_teeth
         sched = program.schedule
+        # corners a fixed spindle always winds; None on the cyclic drive
+        self._spindle_corners: Optional[Tuple[int, ...]] = None
         if sched.mode is ScheduleMode.FIXED_SPINDLE:
             self._rates = tuple(base * s / side.routing_gain
                                 for s, side in zip(sched.take_up, self.sides))
+            self._spindle_corners = tuple(
+                c for c in range(1, 5) if sched.take_up[c - 1] > 0)
         else:
             self._rates = tuple(base / side.routing_gain for side in self.sides)
         # engagement phase: index of the current cyclic window.  Kept as an
         # integer cursor so boundary releases can never be skipped or doubled
         # by float rounding of the window arithmetic.
         self._window: Optional[int] = None
+        # ground pivots by roll angle (see _tip_check)
+        self._pivots: Dict[float, Tuple[int, float, int, float]] = {}
 
     # -- state helpers ----------------------------------------------------
 
@@ -368,9 +402,8 @@ class Simulator:
         return (sched.first_corner - 1 + window) % sched.corner_count + 1
 
     def _engaged_corners(self, time: float) -> Tuple[int, ...]:
-        sched = self.program.schedule
-        if sched.mode is ScheduleMode.FIXED_SPINDLE:
-            return tuple(c for c in range(1, 5) if sched.take_up[c - 1] > 0)
+        if self._spindle_corners is not None:
+            return self._spindle_corners
         if self._window is None:
             self._sync_window(time)
         return (self._corner_of_window(self._window),)
@@ -413,6 +446,21 @@ class Simulator:
 
     # -- event machinery ---------------------------------------------------
 
+    def _tip_check(self, state: BodyState
+               ) -> Tuple[TippingReport, Tuple[float, float]]:
+        """Tip check of a state, plus the mass offset it used.
+
+        The support polygon is fixed, so its ground pivots are cached per
+        roll angle.
+        """
+        offset = mass_offset_xy(self.layout, state.radii)
+        pivots = self._pivots.get(state.roll_angle)
+        if pivots is None:
+            pivots = self._pivots[state.roll_angle] = ground_pivots(
+                self.polygon, state.roll_angle)
+        return tipping_check(self.layout, state, self.polygon, offset,
+                             pivots), offset
+
     def detect_stall(self, state: BodyState) -> Optional[SimEvent]:
         """Tripod-lock check: engaged set fully saturated and still stable.
 
@@ -431,7 +479,7 @@ class Simulator:
             return None
         if any(state.contractions[c - 1] < cap for c in engaged):
             return None
-        if tipping_check(self.layout, state, self.polygon).tipping:
+        if self._tip_check(state)[0].tipping:
             return None
         return SimEvent(EventKind.STALL, state.time,
                         program.motor_speed * state.time, state)
@@ -442,7 +490,7 @@ class Simulator:
         def tipping_at(t: float) -> bool:
             probe = self._with_contractions(
                 state, self._advance_contractions(state, engaged, t), t)
-            return tipping_check(self.layout, probe, self.polygon).tipping
+            return self._tip_check(probe)[0].tipping
 
         while t_hi - t_lo > TIP_BISECTION_TOL:
             mid = 0.5 * (t_lo + t_hi)
@@ -452,14 +500,18 @@ class Simulator:
                 t_lo = mid
         return t_hi
 
-    def _resolve_tips(self, state: BodyState,
-                      events: List[SimEvent]) -> BodyState:
-        """Execute rolls until the state is stable again."""
+    def _resolve_tips(self, state: BodyState, events: List[SimEvent]
+                      ) -> Tuple[BodyState, Tuple[float, float]]:
+        """Execute rolls until the state is stable again.
+
+        Returns the stable state and its mass offset (a roll leaves the
+        radii, and so the offset, unchanged).
+        """
         motor_angle = self.program.motor_speed * state.time
         for _ in range(8):
-            report = tipping_check(self.layout, state, self.polygon)
+            report, offset = self._tip_check(state)
             if not report.tipping:
-                return state
+                return state, offset
             events.append(SimEvent(EventKind.TIP, state.time, motor_angle,
                                    state, direction=report.direction))
             state = execute_roll(state, report.direction,
@@ -473,19 +525,36 @@ class Simulator:
         """Advance one time step, emitting the events crossed inside it."""
         if dt <= 0:
             raise ValueError("dt must be > 0")
-        if any(not math.isfinite(u) for u in state.contractions):
-            raise SimulationError("non-finite contraction in state")
-        program = self.program
+        self._check_finite(state)
         if self._window is None:
             self._sync_window(state.time)
         t_end = state.time + dt
         events: List[SimEvent] = []
-        state = self._resolve_tips(state, events)
+        state, _ = self._resolve_tips(state, events)
+        state, _ = self._advance(state, t_end, events)
+        return state, events
+
+    @staticmethod
+    def _check_finite(state: BodyState) -> None:
+        if any(not math.isfinite(u) for u in state.contractions):
+            raise SimulationError("non-finite contraction in state")
+
+    def _advance(self, state: BodyState, t_end: float, events: List[SimEvent]
+                 ) -> Tuple[BodyState, Optional[Tuple[float, float]]]:
+        """Advance a tip-stable state to ``t_end``, appending the events crossed.
+
+        Returns the final state and, when its tip check has already run and
+        found it stable, its mass offset.  The offset is None when the last
+        thing done was a saturation clamp: that state is unchecked, and the
+        next advance must resolve its tips first.
+        """
+        program = self.program
+        cap = program.max_contraction
+        offset: Optional[Tuple[float, float]] = None
         while state.time < t_end:
             t0 = state.time
             engaged = self._engaged_corners(t0)
             boundary = self._next_window_boundary()
-            cap = program.max_contraction
             t_sat = math.inf
             sat_corner = None
             if cap is not None:
@@ -500,26 +569,28 @@ class Simulator:
 
             probe = self._with_contractions(
                 state, self._advance_contractions(state, engaged, t_stop), t_stop)
-            if tipping_check(self.layout, probe, self.polygon).tipping:
+            report, probe_offset = self._tip_check(probe)
+            if report.tipping:
                 t_tip = self._bisect_tip(state, engaged, t0, t_stop)
                 state = self._with_contractions(
                     state, self._advance_contractions(state, engaged, t_tip),
                     t_tip)
-                state = self._resolve_tips(state, events)
+                state, offset = self._resolve_tips(state, events)
                 continue
 
-            state = probe
+            state, offset = probe, probe_offset
             if t_stop == t_sat and sat_corner is not None:
                 u = list(state.contractions)
                 u[sat_corner - 1] = cap
                 state = self._with_contractions(state, u, state.time)
+                offset = None
                 events.append(SimEvent(
                     EventKind.SATURATION, state.time,
                     program.motor_speed * state.time, state, corner=sat_corner))
                 stall = self.detect_stall(state)
                 if stall is not None:
                     events.append(stall)
-                    return state, events
+                    return state, None
             if t_stop == boundary and boundary < math.inf:
                 old_corner = self._corner_of_window(self._window)
                 self._window += 1
@@ -533,8 +604,8 @@ class Simulator:
                 events.append(SimEvent(EventKind.ENGAGEMENT_START, state.time,
                                        motor_angle, state, corner=new_corner))
                 # release can shift the COM; re-check stability
-                state = self._resolve_tips(state, events)
-        return state, events
+                state, offset = self._resolve_tips(state, events)
+        return state, offset
 
     # -- full run -----------------------------------------------------------
 
@@ -576,10 +647,18 @@ class Simulator:
 
     def run(self, dt: float = 1e-3,
             initial_state: Optional[BodyState] = None) -> SimTrace:
-        """Run the whole program, producing a deterministic trace."""
+        """Run the whole program, producing a deterministic trace.
+
+        Equal to a fold of ``step`` over the ``dt`` grid, without the
+        repeated tip check at each step's start: a state the previous
+        advance already found stable is not checked again.
+        """
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
         program = self.program
+        layout = self.layout
+        gains = tuple(side.routing_gain for side in self.sides)
+        stiffnesses = self.cable_stiffnesses
         trace, start = self._start(initial_state)
         roll_times: List[Tuple[float, int]] = []
 
@@ -589,17 +668,21 @@ class Simulator:
                 total += direction * program.damping.overlay(t - t_roll)
             return total
 
-        def record(st: BodyState, event: str = "") -> None:
-            com = world_com(self.layout, st)
-            lengths = tuple(side.routing_gain * u
-                            for side, u in zip(self.sides, st.contractions))
-            tensions = tuple(k * u for k, u in
-                             zip(self.cable_stiffnesses, st.contractions))
+        def record(st: BodyState, event: str = "",
+                   offset: Optional[Tuple[float, float]] = None) -> None:
+            # world_com's arithmetic, in its order, on Python floats
+            dbx, dby = mass_offset_xy(layout, st.radii) if offset is None \
+                else offset
+            phi = st.roll_angle
+            c, s = math.cos(phi), math.sin(phi)
             trace.records.append(TraceRecord(
                 time=st.time, motor_angle=program.motor_speed * st.time,
-                roll_angle=phi_display(st.time, st.roll_angle),
-                com_x=float(com[0]), com_y=float(com[1]),
-                retractions=lengths, tensions=tensions, event=event))
+                roll_angle=phi_display(st.time, phi),
+                com_x=st.support_radius * phi + c * dbx - s * dby,
+                com_y=s * dbx + c * dby,
+                retractions=tuple(map(mul, gains, st.contractions)),
+                tensions=tuple(map(mul, stiffnesses, st.contractions)),
+                event=event))
 
         def absorb(events: List[SimEvent]) -> bool:
             first = len(trace.events)
@@ -617,10 +700,19 @@ class Simulator:
         state = start
         n_steps = int(math.ceil(program.duration / dt - 1e-12)) \
             if program.duration > 0 else 0
+        if n_steps:
+            self._check_finite(start)
+        offset: Optional[Tuple[float, float]] = None
         for k in range(n_steps):
             t_next = start.time + min((k + 1) * dt, program.duration)
-            state, events = self.step(state, t_next - state.time)
+            step_dt = t_next - state.time
+            if step_dt <= 0:
+                raise ValueError("dt must be > 0")
+            events: List[SimEvent] = []
+            if offset is None:
+                state, offset = self._resolve_tips(state, events)
+            state, offset = self._advance(state, state.time + step_dt, events)
             if absorb(events):
                 break
-            record(state)
+            record(state, offset=offset)
         return self._finish(trace, start, state)

@@ -195,14 +195,6 @@ class EngagementSchedule:
         window = math.floor(driver_angle / arc)
         return (self.first_corner - 1 + window) % self.corner_count + 1
 
-    def window_bounds(self, driver_angle: float) -> Tuple[float, float]:
-        """Driver-angle bounds [start, end) of the window containing the angle."""
-        if self.mode is ScheduleMode.FIXED_SPINDLE:
-            return (-math.inf, math.inf)
-        arc = self.sector_arc
-        window = math.floor(driver_angle / arc)
-        return (window * arc, (window + 1) * arc)
-
 
 def driver_angle(motor_angle: float, cfg: GearboxConfig) -> float:
     """Driver-shaft angle behind the single-start worm: theta_m / T_w."""

@@ -9,9 +9,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from geogami import config as geogami_config
 from geogami.cli import main
 from geogami.config import (ConfigError, available_presets, dump_config,
                             load_config, load_preset, write_atomic)
+from geogami.locomotion import Simulator
 
 
 def write_config(tmp_path, config, name="run.json"):
@@ -52,6 +54,27 @@ class TestConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(str(path))
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            load_config(str(path))
+
+    def test_packaged_preset_parses_like_a_config_file(self, tmp_path,
+                                                      monkeypatch):
+        presets = tmp_path / "presets"
+        presets.mkdir()
+        broken = presets / "broken.json"
+        broken.write_text("{not json")
+        monkeypatch.setattr(geogami_config.resources, "files",
+                            lambda _package: tmp_path)
+        with pytest.raises(ConfigError) as from_preset:
+            load_preset("broken")
+        with pytest.raises(ConfigError) as from_file:
+            load_config(str(broken))
+        assert str(from_preset.value) == str(from_file.value)
+        assert str(from_file.value).startswith(f"{broken}: invalid JSON: ")
 
     def test_unknown_field_rejected(self, tmp_path):
         data = load_preset("paper-table1").to_dict()
@@ -387,3 +410,47 @@ class TestInputChecks:
                   "--dt", "1e-3", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "unrecognized arguments: --dt" in capsys.readouterr().err
+
+
+class TestStrokeCheck:
+    def with_program(self, config, **changes):
+        return dataclasses.replace(
+            config, program=dataclasses.replace(config.program, **changes))
+
+    def test_cyclic_window_reaching_rest_radius_rejected(self):
+        config = load_preset("paper-table1")
+        # one window of a 40 mm spool: 40 * 2*pi * 5/10 = 125.66 mm
+        big = dataclasses.replace(config, gearbox=dataclasses.replace(
+            config.gearbox, spool_radius_mm=40.0))
+        with pytest.raises(ConfigError,
+                           match=r"spool_radius_mm 40.0 .* 125\.664 mm"):
+            big.validate()
+        # the saturation cap stops the stroke short of the rest radius
+        self.with_program(big, max_contraction_mm=50.0).validate()
+        # and so does a program too short to finish the window
+        self.with_program(big, duration_s=5.0).validate()
+
+    def test_spindle_stroke_is_rate_times_duration(self):
+        config = self.with_program(load_preset("paper-table1"),
+                                   mode="spindle10",
+                                   spindle_max_contraction_mm=200.0)
+        # 1.1 take-up winds 1.1 * 120/43 = 3.07 mm/s at corner 1
+        self.with_program(config, duration_s=30.0).validate()
+        with pytest.raises(ConfigError, match="corner 1 .* rest radius"):
+            self.with_program(config, duration_s=31.0).validate()
+
+    def test_sweep_rejects_before_any_run(self, tmp_path, capsys,
+                                          monkeypatch):
+        def no_run(self, *args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(Simulator, "timeline", no_run)
+        code = main(["sweep", "--preset", "paper-table1",
+                     "--param", "gearbox.spool_radius_mm",
+                     "--values", "8,40", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: gearbox.spool_radius_mm 40.0 ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())

@@ -13,8 +13,9 @@ from geogami.compliance import SideAssembly
 from geogami.config import load_preset
 from geogami.kinematics import BodyState, MassLayout, body_mass_offset, radii
 from geogami.locomotion import (ActuationProgram, DampingParams, EventKind,
-                                ReleaseModel, Simulator, SupportPolygon,
-                                TRACE_CSV_HEADER, execute_roll, tipping_check)
+                                ReleaseModel, SimTrace, Simulator,
+                                SupportPolygon, TRACE_CSV_HEADER, TraceRecord,
+                                execute_roll, tipping_check)
 from geogami.transmission import EngagementSchedule
 
 CONFIG = load_preset("paper-table1")
@@ -419,3 +420,99 @@ class TestProgramValidation:
             Simulator(CONFIG.build_gearbox(), LAYOUT,
                       [SideAssembly()] * 3, POLYGON,
                       CONFIG.build_program())
+
+
+def old_fmt(value, digits):
+    """The trace writer's former per-field formatter, kept as the oracle."""
+    return f"{round(value, digits) + 0.0:.{digits}f}"
+
+
+class TestTraceCsvFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.floats(-1e4, 1e4))
+    @example(value=0.0)
+    @example(value=-0.0)
+    @example(value=-4e-7)
+    @example(value=-5e-7)
+    @example(value=-4e-10)
+    @example(value=0.0000005)
+    @example(value=-0.0000005)
+    @example(value=0.0000015)
+    @example(value=0.0000000005)
+    @example(value=-0.0000000015)
+    @example(value=2.5)
+    def test_row_matches_per_field_rounding(self, value):
+        record = TraceRecord(value, value, value, value, value,
+                             (value,) * 4, (value,) * 4, "tip:-")
+        buffer = io.StringIO()
+        SimTrace(records=[record]).write_csv(buffer)
+        digits = (9, 6, 9) + (6,) * 10
+        expected = ",".join(old_fmt(value, d) for d in digits) + ",tip:-\n"
+        assert buffer.getvalue() == TRACE_CSV_HEADER + "\n" + expected
+
+
+def step_fold(sim, dt):
+    """A plain fold of public ``step`` over ``run``'s dt grid."""
+    state = sim.initial_state()
+    duration = sim.program.duration
+    events = []
+    for k in range(int(math.ceil(duration / dt - 1e-12))):
+        t_next = min((k + 1) * dt, duration)
+        state, new = sim.step(state, t_next - state.time)
+        events.extend(new)
+        if any(e.kind is EventKind.STALL for e in new):
+            break
+    return events, state
+
+
+def assert_run_is_step_fold(trace, sim, dt):
+    events, final = step_fold(sim, dt)
+    opening = trace.events[:len(trace.events) - len(events)]
+    assert opening and all(e.kind is EventKind.ENGAGEMENT_START
+                           and e.time == 0.0 for e in opening)
+    assert trace.events[len(opening):] == events
+    assert trace.final_state == final
+
+
+class TestRunMatchesStepFold:
+    @pytest.mark.parametrize("mode", ("cyclic", "pyramid", "spindle10"))
+    @pytest.mark.parametrize("dt", (1e-3, 1e-2))
+    def test_events_and_final_state(self, mode, dt):
+        assert_run_is_step_fold(simulator(mode=mode).run(dt=dt),
+                                simulator(mode=mode), dt)
+
+    def test_grid_point_on_a_saturation_instant(self, monkeypatch):
+        # 43 rad/s through T_w = 43 and T_dr/T_dv = 1/2 onto an 8 mm spool
+        # winds 4 mm/s, so the pyramid take-ups (1, 0.75, 0.5, 0.25) reach
+        # the 25 mm cap at 6.25, 8.33.., 12.5 and 25 s; all but 8.33.. lie
+        # on the 0.25 s grid, and each of those steps ends on the clamp
+        config = dataclasses.replace(CONFIG, program=dataclasses.replace(
+            CONFIG.program, motor_speed_rad_s=43.0, duration_s=30.0,
+            spindle_max_contraction_mm=25.0))
+        config.validate()
+        entry_checks = []
+        resolve = Simulator._resolve_tips
+
+        def recording(self, state, events):
+            entry_checks.append(state.time)
+            return resolve(self, state, events)
+
+        monkeypatch.setattr(Simulator, "_resolve_tips", recording)
+        trace = config.build_simulator(mode="pyramid").run(dt=0.25)
+        assert [(e.token(), e.time) for e in trace.events[4:]] == [
+            ("saturation:1", 6.25), ("saturation:2", 8.0 + 1.0 / 3.0),
+            ("saturation:3", 12.5), ("saturation:4", 25.0), ("stall", 25.0)]
+        # the start, then only the steps after a clamp at a grid point
+        assert entry_checks == [0.0, 6.25, 12.5]
+        monkeypatch.undo()
+        assert_run_is_step_fold(trace, config.build_simulator(mode="pyramid"),
+                                0.25)
+
+    def test_step_resolves_a_tipping_start_state(self):
+        sim = simulator()
+        state = BodyState.from_contractions(LAYOUT, (0.0, 0.0, 0.0, 30.0),
+                                            time=2.0)
+        assert tipping_check(LAYOUT, state, POLYGON).tipping
+        _, events = sim.step(state, 0.01)
+        assert [(e.kind, e.time) for e in events[:2]] == [
+            (EventKind.TIP, 2.0), (EventKind.ROLL_COMPLETE, 2.0)]
