@@ -8,18 +8,18 @@ stderr.  Output files are written atomically.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from . import compliance, transmission
 from .compliance import JointFamily, MeasurementFormatError
 from .config import (ConfigError, RunConfig, SIMULATION_MODES, load_config,
-                     load_preset, write_atomic)
-from .locomotion import SimTrace, SimulationError, Simulator
+                     load_preset, open_atomic, write_atomic)
+from .locomotion import SimulationError
 from .svgplot import trace_svg
 
 DEFAULT_PRESET = "paper-table1"
@@ -134,33 +134,26 @@ def _cmd_gearbox(args: argparse.Namespace) -> int:
 
 # -- simulate -----------------------------------------------------------------
 
-def _build_simulator(config: RunConfig, mode: Optional[str],
-                     origami: Optional[bool],
-                     duration: Optional[float]) -> Tuple[Simulator, str]:
-    if duration is not None:
-        # frozen dataclasses: rebuild with the overridden duration
-        from dataclasses import replace as _replace
-        config = _replace(config, program=_replace(config.program,
-                                                   duration_s=duration))
-    mode = mode or config.program.mode
-    return config.build_simulator(mode=mode, origami=origami), mode
-
-
-def _trace_csv_text(trace: SimTrace) -> str:
-    buffer = io.StringIO()
-    trace.write_csv(buffer)
-    return buffer.getvalue()
+def _simulate_config(args: argparse.Namespace) -> RunConfig:
+    """The run configuration with the command-line overrides, validated."""
+    config = _resolve_config(args)
+    overrides = {"mode": args.mode, "duration_s": args.duration_s,
+                 "origami": None if args.origami is None
+                 else args.origami == "on"}
+    config = replace(config, program=replace(config.program, **{
+        key: value for key, value in overrides.items() if value is not None}))
+    config.validate()
+    return config
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    origami = None if args.origami is None else (args.origami == "on")
-    simulator, mode = _build_simulator(config, args.mode, origami,
-                                       args.duration_s)
-    trace = simulator.run(dt=args.dt)
+    config = _simulate_config(args)
+    mode = config.program.mode
+    trace = config.build_simulator().run(dt=args.dt)
     out_dir = Path(args.out)
     trace_path = out_dir / f"trace_{mode}.csv"
-    write_atomic(str(trace_path), _trace_csv_text(trace))
+    with open_atomic(str(trace_path)) as stream:
+        trace.write_csv(stream)
     print(f"wrote {trace_path}")
     if args.plot:
         times = [r.time for r in trace.records]

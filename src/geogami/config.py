@@ -15,10 +15,11 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, TextIO, Tuple
 
 from .compliance import CompositionLaw, SideAssembly
 from .kinematics import MassLayout
@@ -376,18 +377,20 @@ def load_preset(name: str) -> RunConfig:
     return _parse_config(candidate.read_text(), str(candidate))
 
 
-def write_atomic(path: str, content: str) -> None:
-    """Write a file via a temp name + rename so readers never see partials.
+@contextmanager
+def open_atomic(path: str) -> Iterator[TextIO]:
+    """Write a text file via a temp name + rename: readers never see a partial.
 
-    The file gets the mode ``open`` would give a new file (0666 less the
-    process umask), not the private 0600 of the temp file.
+    A failure in the ``with`` block leaves neither the target nor the temp
+    file.  The file gets the mode ``open`` would give a new file (0666
+    less the process umask), not the private 0600 of the temp file.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(content)
+            yield handle
         # reading the umask means setting it; no other thread writes files
         umask = os.umask(0)
         os.umask(umask)
@@ -397,6 +400,12 @@ def write_atomic(path: str, content: str) -> None:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def write_atomic(path: str, content: str) -> None:
+    """Write a whole file atomically (see ``open_atomic``)."""
+    with open_atomic(path) as handle:
+        handle.write(content)
 
 
 def dump_config(config: RunConfig, path: str) -> None:

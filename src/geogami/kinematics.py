@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,6 +54,11 @@ class MassLayout:
     @property
     def total_mass(self) -> float:
         return self.central_mass + sum(self.corner_masses)
+
+    @cached_property
+    def ray_units(self) -> Tuple[Tuple[float, float], ...]:
+        """Unit vector ``(cos a, sin a)`` of each ray angle."""
+        return tuple((math.cos(a), math.sin(a)) for a in self.ray_angles)
 
 
 def instantaneous_radius(rest_radius: float, contraction: float) -> float:
@@ -128,9 +134,10 @@ def mass_offset_xy(layout: MassLayout,
         raise ValueError("total mass must be > 0")
     x = 0.0
     y = 0.0
-    for m, r, a in zip(layout.corner_masses, radii_values, layout.ray_angles):
-        x += m * r * math.cos(a)
-        y += m * r * math.sin(a)
+    for m, r, (ux, uy) in zip(layout.corner_masses, radii_values,
+                              layout.ray_units):
+        x += m * r * ux
+        y += m * r * uy
     return x / total, y / total
 
 

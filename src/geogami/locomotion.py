@@ -8,7 +8,9 @@ dynamics; a parametric damped sinusoid is overlaid on the roll-angle trace
 after each roll and does not feed back into the COM computation.
 
 One simulation run is strictly sequential; independent runs share only
-immutable configs and may execute in parallel.
+immutable configs and may execute in parallel.  A ``Simulator`` holds no
+run state: the engaged cyclic window is a function of the state's time,
+so ``step`` depends only on its arguments and a Simulator may be reused.
 """
 
 from __future__ import annotations
@@ -309,8 +311,8 @@ class SimTrace:
         return False
 
     def write_csv(self, stream: TextIO) -> None:
-        # a StringIO keeps every string written to it, and a %-formatted
-        # row sits in an over-allocated block, so rows go out in batches
+        # rows go out in joined batches: a %-formatted row sits in an
+        # over-allocated block, and a StringIO stream keeps every string
         stream.write(TRACE_CSV_HEADER + "\n")
         rows: List[str] = []
         for r in self.records:
@@ -334,7 +336,8 @@ class Simulator:
     """Event-driven quasi-static run of one actuation program.
 
     The full body state lives in BodyState snapshots; ``step`` consumes and
-    returns them, so a run is a pure fold over time steps.
+    returns them, so a run is a pure fold over time steps.  It holds no run
+    state: ``step`` depends only on its arguments, so it may serve many runs.
     """
 
     def __init__(self, gearbox: GearboxConfig, layout: MassLayout,
@@ -357,19 +360,14 @@ class Simulator:
         base = gearbox.spool_radius * gearbox.spool_per_driver \
             * program.motor_speed / gearbox.worm_teeth
         sched = program.schedule
+        # a cyclic schedule's take-up is all 1.0, and base * 1.0 == base
+        self._rates = tuple(base * s / side.routing_gain
+                            for s, side in zip(sched.take_up, self.sides))
         # corners a fixed spindle always winds; None on the cyclic drive
         self._spindle_corners: Optional[Tuple[int, ...]] = None
         if sched.mode is ScheduleMode.FIXED_SPINDLE:
-            self._rates = tuple(base * s / side.routing_gain
-                                for s, side in zip(sched.take_up, self.sides))
             self._spindle_corners = tuple(
                 c for c in range(1, 5) if sched.take_up[c - 1] > 0)
-        else:
-            self._rates = tuple(base / side.routing_gain for side in self.sides)
-        # engagement phase: index of the current cyclic window.  Kept as an
-        # integer cursor so boundary releases can never be skipped or doubled
-        # by float rounding of the window arithmetic.
-        self._window: Optional[int] = None
         # ground pivots by roll angle (see _tip_check)
         self._pivots: Dict[float, Tuple[int, float, int, float]] = {}
 
@@ -387,38 +385,33 @@ class Simulator:
                          contractions=contractions,
                          radii=radii(self.layout, contractions), time=time)
 
-    def _window_index(self, time: float) -> int:
-        """Cyclic window containing ``time`` (nudged against rounding)."""
-        sched = self.program.schedule
-        theta_d = self.program.motor_speed * time / self.gearbox.worm_teeth
-        return math.floor(theta_d / sched.sector_arc + 1e-9)
+    def _engagement(self, time: float) -> Tuple[Tuple[int, ...], float]:
+        """Corners engaged at ``time``, and the time the engagement changes.
 
-    def _sync_window(self, time: float) -> None:
-        if self.program.schedule.mode is ScheduleMode.CYCLIC_SECTOR:
-            self._window = self._window_index(time)
-
-    def _corner_of_window(self, window: int) -> int:
-        sched = self.program.schedule
-        return (sched.first_corner - 1 + window) % sched.corner_count + 1
-
-    def _engaged_corners(self, time: float) -> Tuple[int, ...]:
+        Cyclic window ``w`` opens at ``window_start(w) * worm_teeth /
+        motor_speed``, the time the engine stops at, so a state at that
+        time is in window ``w`` and a state one ulp earlier is not.  A
+        stopped motor stays in window 0.
+        """
         if self._spindle_corners is not None:
-            return self._spindle_corners
-        if self._window is None:
-            self._sync_window(time)
-        return (self._corner_of_window(self._window),)
-
-    def _next_window_boundary(self) -> float:
-        """Time of the next cyclic window transition."""
+            return self._spindle_corners, math.inf
         sched = self.program.schedule
-        if sched.mode is ScheduleMode.FIXED_SPINDLE or self.program.motor_speed == 0:
-            return math.inf
-        boundary_motor = (self._window + 1) * sched.sector_arc * self.gearbox.worm_teeth
-        return boundary_motor / self.program.motor_speed
+        speed = self.program.motor_speed
+        if speed == 0:
+            return (sched.window_corner(0),), math.inf
+        teeth = self.gearbox.worm_teeth
+        start = sched.window_start
+        # the driver angle of ``time`` rounds apart from the opening times
+        window = sched.window_at(speed * time / teeth)
+        while start(window) * teeth / speed > time:
+            window -= 1
+        while (next_opens := start(window + 1) * teeth / speed) <= time:
+            window += 1
+        return (sched.window_corner(window),), next_opens
 
-    def _advance_contractions(self, state: BodyState, engaged: Sequence[int],
-                              time: float) -> Tuple[float, ...]:
-        """Contractions at ``time`` assuming no events inside the interval."""
+    def _advanced(self, state: BodyState, engaged: Sequence[int],
+                  time: float) -> BodyState:
+        """The state at ``time`` assuming no events inside the interval."""
         dt = time - state.time
         u = list(state.contractions)
         cap = self.program.max_contraction
@@ -427,7 +420,7 @@ class Simulator:
             if cap is not None:
                 value = min(value, cap)
             u[corner - 1] = value
-        return tuple(u)
+        return self._with_contractions(state, u, time)
 
     def _released_contraction(self, contraction: float) -> float:
         """Contraction retained after the cable goes slack at disengagement."""
@@ -469,13 +462,9 @@ class Simulator:
         carries on, so it never stalls here.
         """
         program = self.program
-        if program.schedule.mode is not ScheduleMode.FIXED_SPINDLE:
-            return None
         cap = program.max_contraction
-        if cap is None:
-            return None
-        engaged = self._engaged_corners(state.time)
-        if not engaged:
+        engaged = self._spindle_corners
+        if not engaged or cap is None:
             return None
         if any(state.contractions[c - 1] < cap for c in engaged):
             return None
@@ -488,9 +477,7 @@ class Simulator:
                     t_lo: float, t_hi: float) -> float:
         """First instant in (t_lo, t_hi] where the tipping predicate holds."""
         def tipping_at(t: float) -> bool:
-            probe = self._with_contractions(
-                state, self._advance_contractions(state, engaged, t), t)
-            return self._tip_check(probe)[0].tipping
+            return self._tip_check(self._advanced(state, engaged, t))[0].tipping
 
         while t_hi - t_lo > TIP_BISECTION_TOL:
             mid = 0.5 * (t_lo + t_hi)
@@ -526,12 +513,10 @@ class Simulator:
         if dt <= 0:
             raise ValueError("dt must be > 0")
         self._check_finite(state)
-        if self._window is None:
-            self._sync_window(state.time)
         t_end = state.time + dt
         events: List[SimEvent] = []
-        state, _ = self._resolve_tips(state, events)
-        state, _ = self._advance(state, t_end, events)
+        state, offset = self._resolve_tips(state, events)
+        state, _ = self._advance(state, offset, t_end, events)
         return state, events
 
     @staticmethod
@@ -539,22 +524,19 @@ class Simulator:
         if any(not math.isfinite(u) for u in state.contractions):
             raise SimulationError("non-finite contraction in state")
 
-    def _advance(self, state: BodyState, t_end: float, events: List[SimEvent]
-                 ) -> Tuple[BodyState, Optional[Tuple[float, float]]]:
+    def _advance(self, state: BodyState, offset: Tuple[float, float],
+                 t_end: float, events: List[SimEvent]
+                 ) -> Tuple[BodyState, Tuple[float, float]]:
         """Advance a tip-stable state to ``t_end``, appending the events crossed.
 
-        Returns the final state and, when its tip check has already run and
-        found it stable, its mass offset.  The offset is None when the last
-        thing done was a saturation clamp: that state is unchecked, and the
-        next advance must resolve its tips first.
+        ``offset`` is the state's mass offset.  Returns the final state,
+        tip-checked and stable (a stall is stable too), and its offset.
         """
         program = self.program
         cap = program.max_contraction
-        offset: Optional[Tuple[float, float]] = None
         while state.time < t_end:
             t0 = state.time
-            engaged = self._engaged_corners(t0)
-            boundary = self._next_window_boundary()
+            engaged, boundary = self._engagement(t0)
             t_sat = math.inf
             sat_corner = None
             if cap is not None:
@@ -567,43 +549,45 @@ class Simulator:
                             t_sat, sat_corner = t_cross, corner
             t_stop = min(t_end, boundary, t_sat)
 
-            probe = self._with_contractions(
-                state, self._advance_contractions(state, engaged, t_stop), t_stop)
+            probe = self._advanced(state, engaged, t_stop)
             report, probe_offset = self._tip_check(probe)
+            recheck = False
             if report.tipping:
                 t_tip = self._bisect_tip(state, engaged, t0, t_stop)
-                state = self._with_contractions(
-                    state, self._advance_contractions(state, engaged, t_tip),
-                    t_tip)
+                state = self._advanced(state, engaged, t_tip)
                 state, offset = self._resolve_tips(state, events)
-                continue
-
-            state, offset = probe, probe_offset
-            if t_stop == t_sat and sat_corner is not None:
-                u = list(state.contractions)
-                u[sat_corner - 1] = cap
-                state = self._with_contractions(state, u, state.time)
-                offset = None
-                events.append(SimEvent(
-                    EventKind.SATURATION, state.time,
-                    program.motor_speed * state.time, state, corner=sat_corner))
-                stall = self.detect_stall(state)
-                if stall is not None:
-                    events.append(stall)
-                    return state, None
+                if t_tip < boundary:
+                    continue
+            else:
+                state, offset = probe, probe_offset
+                if t_stop == t_sat and sat_corner is not None:
+                    u = list(state.contractions)
+                    u[sat_corner - 1] = cap
+                    state = self._with_contractions(state, u, state.time)
+                    events.append(SimEvent(
+                        EventKind.SATURATION, state.time,
+                        program.motor_speed * state.time, state,
+                        corner=sat_corner))
+                    stall = self.detect_stall(state)
+                    if stall is not None:
+                        events.append(stall)
+                        return state, mass_offset_xy(self.layout, state.radii)
+                    recheck = True
             if t_stop == boundary and boundary < math.inf:
-                old_corner = self._corner_of_window(self._window)
-                self._window += 1
-                new_corner = self._corner_of_window(self._window)
+                # a tip may land on the boundary too; the window closes anyway
+                old_corner = engaged[0]
                 u = list(state.contractions)
                 u[old_corner - 1] = self._released_contraction(u[old_corner - 1])
                 state = self._with_contractions(state, u, state.time)
                 motor_angle = program.motor_speed * state.time
                 events.append(SimEvent(EventKind.ENGAGEMENT_END, state.time,
                                        motor_angle, state, corner=old_corner))
-                events.append(SimEvent(EventKind.ENGAGEMENT_START, state.time,
-                                       motor_angle, state, corner=new_corner))
-                # release can shift the COM; re-check stability
+                events.append(SimEvent(
+                    EventKind.ENGAGEMENT_START, state.time, motor_angle, state,
+                    corner=self._engagement(state.time)[0][0]))
+                recheck = True
+            if recheck:
+                # a clamp or a release can shift the COM; re-check stability
                 state, offset = self._resolve_tips(state, events)
         return state, offset
 
@@ -611,15 +595,13 @@ class Simulator:
 
     def _start(self, initial_state: Optional[BodyState]
                ) -> Tuple[SimTrace, BodyState]:
-        """Reset the window cursor; open a trace with the initial engagements."""
+        """Open a trace with the initial engagements."""
         state = initial_state if initial_state is not None else self.initial_state()
-        self._window = None
-        self._sync_window(state.time)
         motor_angle = self.program.motor_speed * state.time
         trace = SimTrace(events=[
             SimEvent(EventKind.ENGAGEMENT_START, state.time, motor_angle,
                      state, corner=corner)
-            for corner in self._engaged_corners(state.time)])
+            for corner in self._engagement(state.time)[0]])
         return trace, state
 
     @staticmethod
@@ -650,8 +632,8 @@ class Simulator:
         """Run the whole program, producing a deterministic trace.
 
         Equal to a fold of ``step`` over the ``dt`` grid, without the
-        repeated tip check at each step's start: a state the previous
-        advance already found stable is not checked again.
+        repeated tip check at each step's start: every state an advance
+        returns is already stable.
         """
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
@@ -702,16 +684,17 @@ class Simulator:
             if program.duration > 0 else 0
         if n_steps:
             self._check_finite(start)
-        offset: Optional[Tuple[float, float]] = None
+            events: List[SimEvent] = []
+            state, offset = self._resolve_tips(start, events)
+            absorb(events)
         for k in range(n_steps):
             t_next = start.time + min((k + 1) * dt, program.duration)
             step_dt = t_next - state.time
             if step_dt <= 0:
                 raise ValueError("dt must be > 0")
-            events: List[SimEvent] = []
-            if offset is None:
-                state, offset = self._resolve_tips(state, events)
-            state, offset = self._advance(state, state.time + step_dt, events)
+            events = []
+            state, offset = self._advance(state, offset, state.time + step_dt,
+                                          events)
             if absorb(events):
                 break
             record(state, offset=offset)

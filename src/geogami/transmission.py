@@ -91,7 +91,8 @@ class EngagementSchedule:
 
     ``cyclic_sector`` mode engages exactly one corner at a time in fixed
     ring order, each window spanning ``sector_arc`` radians of driver
-    angle, consecutively (period corner_count * sector_arc).
+    angle, consecutively (period corner_count * sector_arc).  Window ``w``
+    opens at driver angle ``window_start(w)`` and engages ``window_corner(w)``.
     ``fixed_spindle`` mode engages all corners simultaneously, each with a
     dimensionless take-up rate multiplier.
     """
@@ -110,6 +111,8 @@ class EngagementSchedule:
                 raise ValueError("sector_arc must be > 0")
             if not 1 <= self.first_corner <= self.corner_count:
                 raise ValueError(f"first_corner must be in 1..{self.corner_count}")
+            if any(s != 1.0 for s in self.take_up):
+                raise ValueError("a cyclic schedule winds at unit take-up")
         else:
             if len(self.take_up) != self.corner_count:
                 raise ValueError("take_up needs one multiplier per corner")
@@ -144,18 +147,12 @@ class EngagementSchedule:
             raise ValueError(
                 f"corner must be in 1..{self.corner_count}, got {corner}")
 
-    def _slot(self, corner: int) -> int:
-        return (corner - self.first_corner) % self.corner_count
-
     def chi(self, driver_angle: float, corner: int) -> int:
         """Engagement indicator chi_i at a given driver angle."""
         self._check_corner(corner)
         if self.mode is ScheduleMode.FIXED_SPINDLE:
             return 1 if self.take_up[corner - 1] > 0 else 0
-        period = self.corner_count * self.sector_arc
-        rem = driver_angle - period * math.floor(driver_angle / period)
-        slot = self._slot(corner)
-        return 1 if slot * self.sector_arc <= rem < (slot + 1) * self.sector_arc else 0
+        return 1 if self.active_corner(driver_angle) == corner else 0
 
     def engaged_driver_angle(self, driver_angle: float, corner: int) -> float:
         """Accumulated driver angle spent engaged with a corner, from zero.
@@ -171,7 +168,7 @@ class EngagementSchedule:
         period = self.corner_count * arc
         n_full = math.floor(driver_angle / period)
         rem = driver_angle - period * n_full
-        slot = self._slot(corner)
+        slot = (corner - self.first_corner) % self.corner_count
         inside = min(max(rem - slot * arc, 0.0), arc)
         return n_full * arc + inside
 
@@ -187,13 +184,23 @@ class EngagementSchedule:
             return self.take_up[corner - 1] * motor_angle
         return worm_teeth * self.engaged_driver_angle(motor_angle / worm_teeth, corner)
 
+    def window_start(self, window: int) -> float:
+        """Driver angle at which cyclic window ``window`` opens."""
+        return window * self.sector_arc
+
+    def window_at(self, driver_angle: float) -> int:
+        """The cyclic window open at a driver angle, up to rounding at its ends."""
+        return math.floor(driver_angle / self.sector_arc)
+
+    def window_corner(self, window: int) -> int:
+        """The corner cyclic window ``window`` engages, in ring order."""
+        return (self.first_corner - 1 + window) % self.corner_count + 1
+
     def active_corner(self, driver_angle: float) -> Optional[int]:
         """The engaged corner at a driver angle; None for fixed-spindle mode."""
         if self.mode is ScheduleMode.FIXED_SPINDLE:
             return None
-        arc = self.sector_arc
-        window = math.floor(driver_angle / arc)
-        return (self.first_corner - 1 + window) % self.corner_count + 1
+        return self.window_corner(self.window_at(driver_angle))
 
 
 def driver_angle(motor_angle: float, cfg: GearboxConfig) -> float:

@@ -13,7 +13,7 @@ from geogami import config as geogami_config
 from geogami.cli import main
 from geogami.config import (ConfigError, available_presets, dump_config,
                             load_config, load_preset, write_atomic)
-from geogami.locomotion import Simulator
+from geogami.locomotion import SimTrace, Simulator
 
 
 def write_config(tmp_path, config, name="run.json"):
@@ -302,6 +302,19 @@ class TestSimulateCli:
         second = (tmp_path / "b" / "trace_cyclic.csv").read_bytes()
         assert first == second
 
+    def test_failed_trace_write_leaves_no_file(self, tmp_path, capsys,
+                                               monkeypatch):
+        def failing(self, stream):
+            stream.write("t_s,partial\n" * 5000)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(SimTrace, "write_csv", failing)
+        code = main(["simulate", "--preset", "symmetric-test",
+                     "--duration-s", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert not list(tmp_path.iterdir())
+
     def test_origami_flag_scales_tension_column(self, tmp_path):
         for flag in ("on", "off"):
             assert main(["simulate", "--preset", "symmetric-test",
@@ -454,3 +467,26 @@ class TestStrokeCheck:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
+
+    def test_simulate_overrides_are_validated(self, tmp_path, capsys,
+                                              monkeypatch):
+        def no_run(self, *args, **kwargs):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr(Simulator, "run", no_run)
+        # the cyclic default passes; --mode spindle10 winds corner 1 at
+        # 1.1 * 120/43 mm/s for 36.1 s, and the 200 mm cap does not stop it
+        config = self.with_program(load_preset("paper-table1"),
+                                   spindle_max_contraction_mm=200.0)
+        config.validate()
+        path = write_config(tmp_path, config)
+        out_dir = tmp_path / "out"
+        code = main(["simulate", "--config", path, "--mode", "spindle10",
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: gearbox.spool_radius_mm ")
+        assert "corner 1 in by 110.8" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out_dir.exists()

@@ -164,11 +164,63 @@ class TestStep:
         assert state.contractions == (0.0, 0.0, 0.0, 0.0)
         assert state.roll_angle == 0.0
         assert state.time == 0.5
+        assert sim._engagement(1e6) == ((4,), math.inf)
 
     def test_dt_must_be_positive(self):
         sim = simulator()
         with pytest.raises(ValueError, match="dt"):
             sim.step(sim.initial_state(), 0.0)
+
+    def test_step_does_not_depend_on_earlier_runs(self):
+        fresh = simulator()
+        expected = fresh.step(fresh.initial_state(), 12.0)
+        tokens = [e.token() for e in expected[1]]
+        assert "engagement_end:4" in tokens and "engagement_start:1" in tokens
+        sim = simulator()
+        sim.run(dt=0.1)
+        assert sim.step(sim.initial_state(), 12.0) == expected
+        sim.timeline()
+        assert sim.step(sim.initial_state(), 12.0) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(speed=st.floats(0.01, 1e3), arc=st.floats(0.01, 2 * math.pi),
+           first=st.integers(1, 4), window=st.integers(1, 10_000))
+    def test_window_opens_at_the_engine_stop_time(self, speed, arc, first,
+                                                  window):
+        sched = EngagementSchedule.cyclic(sector_arc=arc, first_corner=first)
+        sim = simulator(motor_speed=speed, schedule=sched)
+        teeth = sim.gearbox.worm_teeth
+
+        def opens(w):
+            return sched.window_start(w) * teeth / speed
+
+        t = opens(window)
+        assert sim._engagement(t) == ((sched.window_corner(window),),
+                                      opens(window + 1))
+        assert sim._engagement(math.nextafter(t, -math.inf)) == (
+            (sched.window_corner(window - 1),), t)
+        mid = 0.5 * (t + opens(window + 1))
+        assert sim._engagement(mid)[0] == (
+            sched.active_corner(speed * mid / teeth),)
+
+    def test_tip_on_a_window_boundary_still_closes_the_window(self):
+        # a contact lever one ulp short of the COM lead at the end of the
+        # first window makes the body tip exactly at the boundary
+        sim = simulator()
+        boundary = sim.program.schedule.window_start(1) * 43 / 30.0
+        end_of_window = BodyState.from_contractions(
+            LAYOUT, (0.0, 0.0, 0.0, sim._rates[3] * boundary), time=boundary)
+        report = tipping_check(LAYOUT, end_of_window, POLYGON)
+        lever = math.nextafter(report.com_offset_x - report.forward_pivot_x,
+                               -math.inf)
+        sim = Simulator(sim.gearbox, LAYOUT, sim.sides,
+                        dataclasses.replace(POLYGON, contact_lever=lever),
+                        sim.program, sim.law)
+        state, events = sim.step(sim.initial_state(), 12.0)
+        assert [(e.token(), e.time) for e in events] == [
+            ("tip:+", boundary), ("roll_complete:+", boundary),
+            ("engagement_end:4", boundary), ("engagement_start:1", boundary)]
+        assert state.contractions[3] == 0.0
 
     def test_event_times_converge_under_dt_refinement(self):
         times = {}
@@ -502,8 +554,8 @@ class TestRunMatchesStepFold:
         assert [(e.token(), e.time) for e in trace.events[4:]] == [
             ("saturation:1", 6.25), ("saturation:2", 8.0 + 1.0 / 3.0),
             ("saturation:3", 12.5), ("saturation:4", 25.0), ("stall", 25.0)]
-        # the start, then only the steps after a clamp at a grid point
-        assert entry_checks == [0.0, 6.25, 12.5]
+        # the start, then every clamp that does not stall
+        assert entry_checks == [0.0, 6.25, 8.0 + 1.0 / 3.0, 12.5]
         monkeypatch.undo()
         assert_run_is_step_fold(trace, config.build_simulator(mode="pyramid"),
                                 0.25)

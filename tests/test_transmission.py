@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from geogami.transmission import (EngagementSchedule, GearboxConfig,
-                                  RetractionWindowError, cable_force,
+                                  RetractionWindowError, ScheduleMode,
+                                  cable_force,
                                   cable_force_from_motor_torque,
                                   cable_retraction, driver_angle,
                                   motor_angle_for_retraction,
@@ -70,6 +71,11 @@ class TestEngagementSchedule:
         arc = math.pi / 2
         seen = [sched.active_corner(arc * (k + 0.5)) for k in range(8)]
         assert seen == [4, 1, 2, 3, 4, 1, 2, 3]
+
+    def test_cyclic_take_up_is_unit(self):
+        with pytest.raises(ValueError, match="unit take-up"):
+            EngagementSchedule(mode=ScheduleMode.CYCLIC_SECTOR,
+                               take_up=(2.0, 1.0, 1.0, 1.0))
 
     def test_cyclic_exclusivity(self):
         sched = EngagementSchedule.cyclic(sector_arc=1.1)
