@@ -1,21 +1,34 @@
-"""Golden traces: sha256 of the paper-table1 trace CSVs at the default dt.
+"""Golden traces: sha256 of trace CSVs written by ``simulate``.
 
 The digests pin every byte ``simulate`` writes, so an engine refactor that
 moves a last digit, an event row or a record fails here.  A deliberate
 change to the trace must update a digest and say why.
 """
 
+import dataclasses
 import hashlib
+import json
 
 import pytest
 
 from geogami.cli import main
+from geogami.config import load_preset
 
 GOLDEN_SHA256 = {
     "cyclic": "be6c218c9240b272f6b05876d2eb05568cce9c10eeb4f73f817947818a3cacc5",
     "pyramid": "ed817ce380b6d9b46d7e9e5b8bf6b5c27d95a22830fbb102e4f89340efa5e583",
     "spindle5": "e9ac2e34c268dae5e903f1a1a1f9a9218d4849a15bbececded4fc3c3db758e1b",
     "spindle10": "a224c2c5d3b3ea6f47e47fb969409dcc6527d3a886f4e7e0500745f1bbb72835",
+}
+
+# cyclic runs that vary what the four digests above do not: a coarse grid
+# (tips between grid points), the other ring-down overlay, a rolled start
+# (other ground pivots, 3 rolls) and a preset whose window is a full turn
+VARIANT_SHA256 = {
+    "dt-1e-2": "31c0dfe97c0923c9454673f63b0694e39a9cebcc1d36075c7828ec0f464517af",
+    "origami-off": "0f52bfdefb0564c971e3fd7601d557f1980037b0985e7e163a04050a2447ea63",
+    "initial-roll-90": "4d104c055164e5c3a39ec7f3e76eea29910cc7fefcb137a2ea7aa7953df79cda",
+    "symmetric-test": "a0d46932cca41c74e12eb5d98d013e7e11b548e3a511d426366c9511090ca914",
 }
 
 
@@ -26,3 +39,21 @@ def test_paper_table1_trace_bytes(mode, tmp_path, capsys):
     capsys.readouterr()
     data = (tmp_path / f"trace_{mode}.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[mode]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_SHA256))
+def test_variant_trace_bytes(variant, tmp_path, capsys):
+    argv = {"dt-1e-2": ["--preset", "paper-table1", "--dt", "1e-2"],
+            "origami-off": ["--preset", "paper-table1", "--origami", "off"],
+            "symmetric-test": ["--preset", "symmetric-test"]}.get(variant)
+    if variant == "initial-roll-90":
+        config = load_preset("paper-table1")
+        config = dataclasses.replace(config, program=dataclasses.replace(
+            config.program, initial_roll_deg=90.0))
+        path = tmp_path / "rolled.json"
+        path.write_text(json.dumps(config.to_dict()))
+        argv = ["--config", str(path)]
+    assert main(["simulate", *argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    data = (tmp_path / "trace_cyclic.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == VARIANT_SHA256[variant]
