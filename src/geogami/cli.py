@@ -15,6 +15,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import compliance, transmission
 from .compliance import JointFamily, MeasurementFormatError
 from .config import (ConfigError, RunConfig, SIMULATION_MODES, load_config,
@@ -156,12 +158,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         trace.write_csv(stream)
     print(f"wrote {trace_path}")
     if args.plot:
-        times = [r.time for r in trace.records]
-        roll_deg = [math.degrees(r.roll_angle) for r in trace.records]
-        motor = [r.motor_angle for r in trace.records]
+        times, motor, roll = trace.columns[:, :3].T
         svg_path = out_dir / f"trace_{mode}.svg"
-        write_atomic(str(svg_path),
-                     trace_svg(times, roll_deg, motor, title=f"mode={mode}"))
+        write_atomic(str(svg_path), trace_svg(times, np.degrees(roll), motor,
+                                              title=f"mode={mode}"))
         print(f"wrote {svg_path}")
     print(trace.summary_line())
     return 0

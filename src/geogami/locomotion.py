@@ -11,6 +11,13 @@ One simulation run is strictly sequential; independent runs share only
 immutable configs and may execute in parallel.  A ``Simulator`` holds no
 run state: the engaged cyclic window is a function of the state's time,
 so ``step`` depends only on its arguments and a Simulator may be reused.
+
+``Simulator.run`` samples the trace on a fixed ``dt`` grid in two
+stages.  Most grid steps are quiet: they end before the window boundary
+and every saturation, on a state that does not tip.  numpy evaluates
+runs of such steps with the scalar engine's arithmetic, in its order, and
+stores them as record columns.  Every other step goes through the scalar
+``_advance``, the only source of events, tip bisection and clamps.
 """
 
 from __future__ import annotations
@@ -19,8 +26,10 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from operator import mul
+from operator import index
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+
+import numpy as np
 
 from .compliance import (CompositionLaw, JointModel, SideAssembly,
                          cable_series_stiffness, default_joint_model,
@@ -32,6 +41,9 @@ from .transmission import EngagementSchedule, GearboxConfig, ScheduleMode
 
 TIP_BISECTION_TOL = 1e-9  # s
 _PIVOT_Y_TOL = 1e-9
+# grid steps ``run`` evaluates in one numpy pass; a pass that ends early
+# at an event wastes at most this many step evaluations
+_SAMPLE_STEPS = 4096
 
 
 class SimulationError(RuntimeError):
@@ -87,15 +99,24 @@ class DampingParams:
         if self.amplitude_rad < 0:
             raise ValueError("amplitude must be >= 0")
 
-    def overlay(self, dt_since_roll: float) -> float:
-        """Damped sinusoid value at a time offset after a roll."""
-        if dt_since_roll <= 0 or self.amplitude_rad == 0:
-            return 0.0
+    def overlay(self, dt_since_roll: np.ndarray) -> np.ndarray:
+        """Damped sinusoid values at time offsets after a roll; 0 up to it.
+
+        ``exp`` and ``sin`` come from ``math``, one element at a time:
+        ``np.exp`` differs from ``math.exp`` in the last bit on some
+        arguments, which would move digits of the trace's roll column.
+        """
+        dt = np.maximum(dt_since_roll, 0.0)
+        if self.amplitude_rad == 0:
+            return np.zeros_like(dt)
         omega = 2 * math.pi * self.frequency_hz
         zeta = self.damping_ratio
         omega_d = omega * math.sqrt(max(1 - zeta * zeta, 0.0))
-        return self.amplitude_rad * math.exp(-zeta * omega * dt_since_roll) \
-            * math.sin(omega_d * dt_since_roll)
+        decay = np.fromiter(map(math.exp, (-zeta * omega * dt).tolist()),
+                            float, len(dt))
+        wave = np.fromiter(map(math.sin, (omega_d * dt).tolist()),
+                           float, len(dt))
+        return self.amplitude_rad * decay * wave
 
 
 @dataclass(frozen=True)
@@ -149,7 +170,6 @@ class SupportPolygon:
 
     vertices: Tuple[Tuple[float, float], ...]
     contact_lever: float = 0.0
-    ground_contact: int = 0
 
     def __post_init__(self) -> None:
         if len(self.vertices) < 3:
@@ -224,7 +244,6 @@ def ground_pivots(polygon: SupportPolygon,
 
 def tipping_check(layout: MassLayout, state: BodyState,
                   polygon: SupportPolygon,
-                  offset: Optional[Tuple[float, float]] = None,
                   pivots: Optional[Tuple[int, float, int, float]] = None
                   ) -> TippingReport:
     """Compare the world COM against the ground-contact pivot.
@@ -233,11 +252,10 @@ def tipping_check(layout: MassLayout, state: BodyState,
     lever) in the roll direction; a COM exactly over the pivot is stable.
     All x values are taken relative to the body center, which cancels the
     common R*phi translation.  A caller that already holds the state's
-    ``mass_offset_xy`` or its ``ground_pivots`` may pass them in.
+    ``ground_pivots`` may pass them in.
     """
     c, s = math.cos(state.roll_angle), math.sin(state.roll_angle)
-    dbx, dby = mass_offset_xy(layout, state.radii) if offset is None \
-        else offset
+    dbx, dby = mass_offset_xy(layout, state.radii)
     com_x = c * dbx - s * dby
     if not math.isfinite(com_x):
         raise ValueError("degenerate state: COM is not finite")
@@ -267,6 +285,8 @@ def execute_roll(state: BodyState, direction: int,
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One trace row; ``SimTrace`` stores rows as columns and builds these."""
+
     time: float
     motor_angle: float
     roll_angle: float        # with post-tip oscillation overlay
@@ -283,13 +303,40 @@ TRACE_CSV_HEADER = ("t_s,theta_m_rad,phi_rad,xG_mm,yG_mm,"
 _CSV_ROW = "%.9f,%.6f,%.9f,%.6f,%.6f," + "%.6f," * 8 + "%s\n"
 # dust that rounds to zero prints as "-0.000..."; the trace writes "0.000..."
 _NEGATIVE_ZERO = re.compile(r"(?<![^,])-(?=0\.0+,)")
+# the numeric CSV columns, in TraceRecord field order
+_N_COLUMNS = 13
+# rows per formatting batch: one ``tolist`` and one ``write`` each
+_CSV_BATCH = 1024
+
+
+class TraceRecords(Sequence[TraceRecord]):
+    """Read-only view of a trace's columns as ``TraceRecord`` rows."""
+
+    def __init__(self, columns: np.ndarray, tokens: List[str]) -> None:
+        self._columns = columns
+        self._tokens = tokens
+
+    def __len__(self) -> int:
+        return len(self._tokens)
+
+    def __getitem__(self, k: int) -> TraceRecord:
+        k = index(k)
+        row = self._columns[k].tolist()
+        return TraceRecord(*row[:5], tuple(row[5:9]), tuple(row[9:]),
+                           self._tokens[k])
 
 
 @dataclass
 class SimTrace:
-    """Time-ordered simulation output plus run summary."""
+    """Time-ordered simulation output plus run summary.
 
-    records: List[TraceRecord] = field(default_factory=list)
+    Record ``k`` is row ``k`` of ``columns`` (the numeric CSV fields, in
+    ``TraceRecord`` order) with event token ``tokens[k]``, "" for none.
+    """
+
+    columns: np.ndarray = field(
+        default_factory=lambda: np.empty((0, _N_COLUMNS)))
+    tokens: List[str] = field(default_factory=list)
     events: List[SimEvent] = field(default_factory=list)
     rolls_completed: int = 0
     travel_mm: float = 0.0
@@ -310,21 +357,24 @@ class SimTrace:
                 return True
         return False
 
+    @property
+    def records(self) -> TraceRecords:
+        return TraceRecords(self.columns, self.tokens)
+
     def write_csv(self, stream: TextIO) -> None:
         # rows go out in joined batches: a %-formatted row sits in an
         # over-allocated block, and a StringIO stream keeps every string
         stream.write(TRACE_CSV_HEADER + "\n")
-        rows: List[str] = []
-        for r in self.records:
-            row = _CSV_ROW % (r.time, r.motor_angle, r.roll_angle, r.com_x,
-                              r.com_y, *r.retractions, *r.tensions, r.event)
-            if "-0.0" in row:
-                row = _NEGATIVE_ZERO.sub("", row)
-            rows.append(row)
-            if len(rows) == 1024:
-                stream.write("".join(rows))
-                rows.clear()
-        stream.write("".join(rows))
+        for first in range(0, len(self.tokens), _CSV_BATCH):
+            last = first + _CSV_BATCH
+            rows = []
+            for values, token in zip(self.columns[first:last].tolist(),
+                                     self.tokens[first:last]):
+                row = _CSV_ROW % (*values, token)
+                if "-0.0" in row:
+                    row = _NEGATIVE_ZERO.sub("", row)
+                rows.append(row)
+            stream.write("".join(rows))
 
     def summary_line(self) -> str:
         stall = "yes" if self.stalled else "no"
@@ -368,7 +418,7 @@ class Simulator:
         if sched.mode is ScheduleMode.FIXED_SPINDLE:
             self._spindle_corners = tuple(
                 c for c in range(1, 5) if sched.take_up[c - 1] > 0)
-        # ground pivots by roll angle (see _tip_check)
+        # the support polygon is fixed: ground pivots by roll angle
         self._pivots: Dict[float, Tuple[int, float, int, float]] = {}
 
     # -- state helpers ----------------------------------------------------
@@ -439,20 +489,17 @@ class Simulator:
 
     # -- event machinery ---------------------------------------------------
 
-    def _tip_check(self, state: BodyState
-               ) -> Tuple[TippingReport, Tuple[float, float]]:
-        """Tip check of a state, plus the mass offset it used.
-
-        The support polygon is fixed, so its ground pivots are cached per
-        roll angle.
-        """
-        offset = mass_offset_xy(self.layout, state.radii)
-        pivots = self._pivots.get(state.roll_angle)
+    def _ground_pivots(self, roll_angle: float
+                       ) -> Tuple[int, float, int, float]:
+        pivots = self._pivots.get(roll_angle)
         if pivots is None:
-            pivots = self._pivots[state.roll_angle] = ground_pivots(
-                self.polygon, state.roll_angle)
-        return tipping_check(self.layout, state, self.polygon, offset,
-                             pivots), offset
+            pivots = self._pivots[roll_angle] = ground_pivots(
+                self.polygon, roll_angle)
+        return pivots
+
+    def _tip_check(self, state: BodyState) -> TippingReport:
+        return tipping_check(self.layout, state, self.polygon,
+                             self._ground_pivots(state.roll_angle))
 
     def detect_stall(self, state: BodyState) -> Optional[SimEvent]:
         """Tripod-lock check: engaged set fully saturated and still stable.
@@ -468,7 +515,7 @@ class Simulator:
             return None
         if any(state.contractions[c - 1] < cap for c in engaged):
             return None
-        if self._tip_check(state)[0].tipping:
+        if self._tip_check(state).tipping:
             return None
         return SimEvent(EventKind.STALL, state.time,
                         program.motor_speed * state.time, state)
@@ -477,7 +524,7 @@ class Simulator:
                     t_lo: float, t_hi: float) -> float:
         """First instant in (t_lo, t_hi] where the tipping predicate holds."""
         def tipping_at(t: float) -> bool:
-            return self._tip_check(self._advanced(state, engaged, t))[0].tipping
+            return self._tip_check(self._advanced(state, engaged, t)).tipping
 
         while t_hi - t_lo > TIP_BISECTION_TOL:
             mid = 0.5 * (t_lo + t_hi)
@@ -487,18 +534,14 @@ class Simulator:
                 t_lo = mid
         return t_hi
 
-    def _resolve_tips(self, state: BodyState, events: List[SimEvent]
-                      ) -> Tuple[BodyState, Tuple[float, float]]:
-        """Execute rolls until the state is stable again.
-
-        Returns the stable state and its mass offset (a roll leaves the
-        radii, and so the offset, unchanged).
-        """
+    def _resolve_tips(self, state: BodyState,
+                      events: List[SimEvent]) -> BodyState:
+        """Execute rolls until the state is stable again."""
         motor_angle = self.program.motor_speed * state.time
         for _ in range(8):
-            report, offset = self._tip_check(state)
+            report = self._tip_check(state)
             if not report.tipping:
-                return state, offset
+                return state
             events.append(SimEvent(EventKind.TIP, state.time, motor_angle,
                                    state, direction=report.direction))
             state = execute_roll(state, report.direction,
@@ -515,22 +558,20 @@ class Simulator:
         self._check_finite(state)
         t_end = state.time + dt
         events: List[SimEvent] = []
-        state, offset = self._resolve_tips(state, events)
-        state, _ = self._advance(state, offset, t_end, events)
-        return state, events
+        state = self._resolve_tips(state, events)
+        return self._advance(state, t_end, events), events
 
     @staticmethod
     def _check_finite(state: BodyState) -> None:
         if any(not math.isfinite(u) for u in state.contractions):
             raise SimulationError("non-finite contraction in state")
 
-    def _advance(self, state: BodyState, offset: Tuple[float, float],
-                 t_end: float, events: List[SimEvent]
-                 ) -> Tuple[BodyState, Tuple[float, float]]:
+    def _advance(self, state: BodyState, t_end: float,
+                 events: List[SimEvent]) -> BodyState:
         """Advance a tip-stable state to ``t_end``, appending the events crossed.
 
-        ``offset`` is the state's mass offset.  Returns the final state,
-        tip-checked and stable (a stall is stable too), and its offset.
+        Returns the final state, tip-checked and stable (a stall is stable
+        too).
         """
         program = self.program
         cap = program.max_contraction
@@ -550,16 +591,15 @@ class Simulator:
             t_stop = min(t_end, boundary, t_sat)
 
             probe = self._advanced(state, engaged, t_stop)
-            report, probe_offset = self._tip_check(probe)
             recheck = False
-            if report.tipping:
+            if self._tip_check(probe).tipping:
                 t_tip = self._bisect_tip(state, engaged, t0, t_stop)
                 state = self._advanced(state, engaged, t_tip)
-                state, offset = self._resolve_tips(state, events)
+                state = self._resolve_tips(state, events)
                 if t_tip < boundary:
                     continue
             else:
-                state, offset = probe, probe_offset
+                state = probe
                 if t_stop == t_sat and sat_corner is not None:
                     u = list(state.contractions)
                     u[sat_corner - 1] = cap
@@ -571,7 +611,7 @@ class Simulator:
                     stall = self.detect_stall(state)
                     if stall is not None:
                         events.append(stall)
-                        return state, mass_offset_xy(self.layout, state.radii)
+                        return state
                     recheck = True
             if t_stop == boundary and boundary < math.inf:
                 # a tip may land on the boundary too; the window closes anyway
@@ -588,8 +628,8 @@ class Simulator:
                 recheck = True
             if recheck:
                 # a clamp or a release can shift the COM; re-check stability
-                state, offset = self._resolve_tips(state, events)
-        return state, offset
+                state = self._resolve_tips(state, events)
+        return state
 
     # -- full run -----------------------------------------------------------
 
@@ -633,38 +673,22 @@ class Simulator:
 
         Equal to a fold of ``step`` over the ``dt`` grid, without the
         repeated tip check at each step's start: every state an advance
-        returns is already stable.
+        returns is already stable.  From each stable state, ``_sample``
+        evaluates the following grid steps at once and keeps the quiet
+        ones; the first step that is not quiet goes through ``_advance``.
         """
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
-        program = self.program
-        layout = self.layout
-        gains = tuple(side.routing_gain for side in self.sides)
-        stiffnesses = self.cable_stiffnesses
+        duration = self.program.duration
         trace, start = self._start(initial_state)
+        blocks: List[np.ndarray] = []
         roll_times: List[Tuple[float, int]] = []
 
-        def phi_display(t: float, phi: float) -> float:
-            total = phi
-            for t_roll, direction in roll_times:
-                total += direction * program.damping.overlay(t - t_roll)
-            return total
-
-        def record(st: BodyState, event: str = "",
-                   offset: Optional[Tuple[float, float]] = None) -> None:
-            # world_com's arithmetic, in its order, on Python floats
-            dbx, dby = mass_offset_xy(layout, st.radii) if offset is None \
-                else offset
-            phi = st.roll_angle
-            c, s = math.cos(phi), math.sin(phi)
-            trace.records.append(TraceRecord(
-                time=st.time, motor_angle=program.motor_speed * st.time,
-                roll_angle=phi_display(st.time, phi),
-                com_x=st.support_radius * phi + c * dbx - s * dby,
-                com_y=s * dbx + c * dby,
-                retractions=tuple(map(mul, gains, st.contractions)),
-                tensions=tuple(map(mul, stiffnesses, st.contractions)),
-                event=event))
+        def record(st: BodyState, event: str = "") -> None:
+            blocks.append(self._columns(st, np.array([st.time]),
+                                        np.array([st.contractions]),
+                                        roll_times))
+            trace.tokens.append(event)
 
         def absorb(events: List[SimEvent]) -> bool:
             first = len(trace.events)
@@ -680,22 +704,112 @@ class Simulator:
         record(start)
 
         state = start
-        n_steps = int(math.ceil(program.duration / dt - 1e-12)) \
-            if program.duration > 0 else 0
+        n_steps = int(math.ceil(duration / dt - 1e-12)) if duration > 0 else 0
         if n_steps:
             self._check_finite(start)
             events: List[SimEvent] = []
-            state, offset = self._resolve_tips(start, events)
+            state = self._resolve_tips(start, events)
             absorb(events)
-        for k in range(n_steps):
-            t_next = start.time + min((k + 1) * dt, program.duration)
+        k = 0
+        while k < n_steps:
+            steps = np.arange(k + 1, min(k + _SAMPLE_STEPS, n_steps) + 1)
+            grid = start.time + np.minimum(steps * dt, duration)
+            times, u = self._sample(state, grid)
+            if len(times):
+                blocks.append(self._columns(state, times, u, roll_times))
+                trace.tokens.extend([""] * len(times))
+                state = self._with_contractions(state, u[-1].tolist(),
+                                                float(times[-1]))
+                k += len(times)
+                if len(times) == len(grid):
+                    continue
+            t_next = start.time + min((k + 1) * dt, duration)
             step_dt = t_next - state.time
             if step_dt <= 0:
                 raise ValueError("dt must be > 0")
             events = []
-            state, offset = self._advance(state, offset, state.time + step_dt,
-                                          events)
+            state = self._advance(state, state.time + step_dt, events)
             if absorb(events):
                 break
-            record(state, offset=offset)
+            record(state)
+            k += 1
+        trace.columns = np.concatenate(blocks)
         return self._finish(trace, start, state)
+
+    def _sample(self, state: BodyState, grid: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """Times and contractions of the quiet grid steps after ``state``.
+
+        ``state`` is stable; step ``k`` ends at ``grid[k]``.  A step is
+        quiet if ``_advance`` would finish it in one pass: it ends before
+        the window boundary and before every saturation, with every radius
+        positive, on a state that does not tip.  The steps are evaluated
+        with ``_advance``'s arithmetic in its order, so the quiet prefix
+        returned equals ``_advance``'s states float for float.
+        """
+        engaged, boundary = self._engagement(state.time)
+        # run ends a step at state.time + (grid[k] - state.time), so step
+        # k + 1 starts at grid[k] only while the earlier ends hit the grid
+        starts = np.concatenate(([state.time], grid[:-1]))
+        ends = starts + (grid - starts)
+        quiet = (ends > starts) & (ends < boundary)
+        quiet[1:] &= np.logical_and.accumulate(ends[:-1] == grid[:-1])
+        u = np.tile(state.contractions, (len(grid), 1))
+        cap = self.program.max_contraction
+        for corner in engaged:
+            rate = self._rates[corner - 1]
+            column = rate * (ends - starts)
+            column[0] += state.contractions[corner - 1]
+            column = np.cumsum(column)
+            if cap is not None:
+                # _advanced clamps every step; the sum never decreases, so
+                # clamping the running sum gives the same contractions
+                column = np.minimum(column, cap)
+                head = cap - np.concatenate(
+                    ([state.contractions[corner - 1]], column[:-1]))
+                if rate > 0:
+                    quiet &= (head <= 0) | (ends < starts + head / rate)
+            u[:, corner - 1] = column
+        # radii raises RadiusInversionError there; leave that to _advance
+        quiet &= (u < self.layout.rest_radii).all(axis=1)
+        dbx, dby = self._mass_offsets(u)
+        phi = state.roll_angle
+        com_x = math.cos(phi) * dbx - math.sin(phi) * dby
+        _, fwd_x, _, rear_x = self._ground_pivots(phi)
+        lever = self.polygon.contact_lever
+        quiet &= (com_x <= fwd_x + lever) & (com_x >= rear_x - lever)
+        n = len(grid) if quiet.all() else int(np.argmin(quiet))
+        return ends[:n], u[:n]
+
+    def _mass_offsets(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``mass_offset_xy`` of each row of contractions, in its order."""
+        layout = self.layout
+        r = np.array(layout.rest_radii) - u
+        x = y = 0.0
+        for k, (m, (ux, uy)) in enumerate(zip(layout.corner_masses,
+                                              layout.ray_units)):
+            x = x + m * r[:, k] * ux
+            y = y + m * r[:, k] * uy
+        total = layout.total_mass
+        return x / total, y / total
+
+    def _columns(self, state: BodyState, times: np.ndarray, u: np.ndarray,
+                 roll_times: Sequence[Tuple[float, int]]) -> np.ndarray:
+        """Trace columns of states with ``state``'s roll angle.
+
+        Row ``k`` holds the state at ``times[k]`` with contractions
+        ``u[k]``, computed as ``world_com`` does, with the ring-down of
+        every roll in ``roll_times`` added to the roll angle.
+        """
+        program = self.program
+        phi = state.roll_angle
+        c, s = math.cos(phi), math.sin(phi)
+        dbx, dby = self._mass_offsets(u)
+        roll = np.full(len(times), phi)
+        for t_roll, direction in roll_times:
+            roll += direction * program.damping.overlay(times - t_roll)
+        gains = [side.routing_gain for side in self.sides]
+        return np.column_stack((
+            times, program.motor_speed * times, roll,
+            state.support_radius * phi + c * dbx - s * dby, s * dbx + c * dby,
+            np.multiply(gains, u), np.multiply(self.cable_stiffnesses, u)))

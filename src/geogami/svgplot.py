@@ -1,14 +1,18 @@
 """Minimal SVG emission for trace plots: no plotting dependency.
 
 Two stacked panels (roll angle vs time, motor angle vs time) drawn as
-polyline paths into a fixed 800x600 viewBox.  Output is deterministic for
-identical inputs.
+polyline paths into a fixed 800x600 viewBox.  Each polyline keeps, per
+pixel column, only its lowest and highest point, in time order, so its
+size is bounded by the plot width, not by the trace length.  Output is
+deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
 import math
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 WIDTH = 800
 HEIGHT = 600
@@ -19,8 +23,8 @@ MARGIN_BOTTOM = 45
 N_TICKS = 5
 
 
-def _nice_limits(values: Sequence[float]) -> Tuple[float, float]:
-    lo, hi = min(values), max(values)
+def _nice_limits(values: np.ndarray) -> Tuple[float, float]:
+    lo, hi = float(values.min()), float(values.max())
     if math.isclose(lo, hi, abs_tol=1e-12):
         pad = max(abs(lo) * 0.1, 1.0)
         return lo - pad, hi + pad
@@ -28,7 +32,19 @@ def _nice_limits(values: Sequence[float]) -> Tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _panel(x: Sequence[float], y: Sequence[float], top: float, height: float,
+def _column_extrema(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Indices of the lowest and highest point of each pixel column.
+
+    Columns are ``floor(px)``.  Ties keep the first point as the lowest
+    and the last as the highest; the indices come back in input order.
+    """
+    column = np.floor(px)
+    order = np.lexsort((py, column))
+    edges = column[order][1:] != column[order][:-1]
+    return np.union1d(order[np.r_[True, edges]], order[np.r_[edges, True]])
+
+
+def _panel(x: np.ndarray, y: np.ndarray, top: float, height: float,
            title: str, x_label: str, y_label: str) -> List[str]:
     x0, x1 = _nice_limits(x)
     y0, y1 = _nice_limits(y)
@@ -66,7 +82,10 @@ def _panel(x: Sequence[float], y: Sequence[float], top: float, height: float,
                      f'y2="{ys:.1f}" stroke="#888"/>')
         parts.append(f'<text x="{left - 8}" y="{ys + 4:.1f}" '
                      f'text-anchor="end" font-size="11">{yv:.2f}</text>')
-    points = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x, y))
+    px, py = sx(x), sy(y)
+    keep = _column_extrema(px, py)
+    points = " ".join(f"{a:.2f},{b:.2f}" for a, b in
+                      zip(px[keep].tolist(), py[keep].tolist()))
     parts.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb4" '
                  f'stroke-width="1.5"/>')
     return parts
@@ -75,7 +94,10 @@ def _panel(x: Sequence[float], y: Sequence[float], top: float, height: float,
 def trace_svg(times: Sequence[float], roll_deg: Sequence[float],
               motor_rad: Sequence[float], title: str = "") -> str:
     """Two-panel SVG of roll angle (deg) and motor angle (rad) over time."""
-    if not times or len(times) != len(roll_deg) or len(times) != len(motor_rad):
+    times, roll_deg, motor_rad = (np.asarray(v, dtype=float)
+                                  for v in (times, roll_deg, motor_rad))
+    if not len(times) or len(times) != len(roll_deg) \
+            or len(times) != len(motor_rad):
         raise ValueError("times, roll_deg, and motor_rad must be equal-length "
                          "non-empty sequences")
     panel_height = (HEIGHT - MARGIN_TOP - 2 * MARGIN_BOTTOM - 40) / 2

@@ -7,13 +7,14 @@ import os
 import stat
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from geogami import config as geogami_config
+from geogami import config as geogami_config, svgplot
 from geogami.cli import main
 from geogami.config import (ConfigError, available_presets, dump_config,
                             load_config, load_preset, write_atomic)
-from geogami.locomotion import SimTrace, Simulator
+from geogami.locomotion import EventKind, SimTrace, Simulator
 
 
 def write_config(tmp_path, config, name="run.json"):
@@ -268,6 +269,47 @@ class TestSimulateCli:
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert any(child.tag.endswith("polyline") for child in root.iter())
+
+    def test_plot_keeps_jumps_and_overshoot(self, tmp_path):
+        # the roll panel draws each pixel column's lowest and highest point
+        assert main(["simulate", "--preset", "paper-table1",
+                     "--out", str(tmp_path), "--plot"]) == 0
+        root = ET.fromstring((tmp_path / "trace_cyclic.svg").read_text())
+        panel = [e for e in root.iter() if e.tag.endswith("rect")][1]
+        polyline = next(e for e in root.iter() if e.tag.endswith("polyline"))
+        vertices = [tuple(map(float, p.split(",")))
+                    for p in polyline.get("points").split()]
+        assert len(vertices) <= 2 * float(panel.get("width"))
+
+        trace = load_preset("paper-table1").build_simulator().run()
+        times = trace.columns[:, 0]
+        roll_deg = np.degrees(trace.columns[:, 2])
+        x0, x1 = svgplot._nice_limits(times)
+        y0, y1 = svgplot._nice_limits(roll_deg)
+        left, width = float(panel.get("x")), float(panel.get("width"))
+        bottom = float(panel.get("y")) + float(panel.get("height"))
+
+        def px(t):
+            return left + (t - x0) / (x1 - x0) * width
+
+        def py(deg):
+            return bottom - (deg - y0) / (y1 - y0) * float(panel.get("height"))
+
+        tips = [e.time for e in trace.events if e.kind is EventKind.TIP]
+        assert len(tips) == 4
+        for tip in tips:
+            # the tip and roll_complete rows share the tip time
+            rows = np.flatnonzero(times == tip)
+            before, after = roll_deg[rows[0]], roll_deg[rows[-1]]
+            assert after - before == pytest.approx(90.0)
+            column = [y for x, y in vertices
+                      if math.floor(x) == math.floor(px(tip))]
+            assert max(column) == pytest.approx(py(before), abs=0.01)
+            assert min(column) <= py(after) + 0.01
+        first_roll = (times > tips[0]) & (times < tips[1])
+        peak = np.flatnonzero(first_roll)[np.argmax(roll_deg[first_roll])]
+        assert (round(px(times[peak]), 2), round(py(roll_deg[peak]), 2)) \
+            in vertices
 
     def test_full_cycle_summary(self, tmp_path, capsys):
         code = main(["simulate", "--preset", "paper-table1",

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from geogami.compliance import SideAssembly
 from geogami.config import load_preset
-from geogami.kinematics import BodyState, MassLayout, body_mass_offset, radii
+from geogami.kinematics import (BodyState, MassLayout, RadiusInversionError,
+                                body_mass_offset, radii, world_com)
 from geogami.locomotion import (ActuationProgram, DampingParams, EventKind,
                                 ReleaseModel, SimTrace, Simulator,
                                 SupportPolygon, TRACE_CSV_HEADER, TraceRecord,
@@ -351,7 +352,7 @@ class TestTimeline:
         sim = config.build_simulator(mode=mode)
         fast = sim.timeline()
         fine = sim.run(dt=1e-3)
-        assert fast.records == []
+        assert len(fast.records) == 0
         assert (fast.rolls_completed, fast.travel_mm, fast.stalled) == \
             (fine.rolls_completed, fine.travel_mm, fine.stalled)
         if mode == "cyclic":
@@ -494,36 +495,80 @@ class TestTraceCsvFormat:
     @example(value=-0.0000000015)
     @example(value=2.5)
     def test_row_matches_per_field_rounding(self, value):
-        record = TraceRecord(value, value, value, value, value,
-                             (value,) * 4, (value,) * 4, "tip:-")
+        trace = SimTrace(columns=np.full((1, 13), value), tokens=["tip:-"])
         buffer = io.StringIO()
-        SimTrace(records=[record]).write_csv(buffer)
+        trace.write_csv(buffer)
         digits = (9, 6, 9) + (6,) * 10
         expected = ",".join(old_fmt(value, d) for d in digits) + ",tip:-\n"
         assert buffer.getvalue() == TRACE_CSV_HEADER + "\n" + expected
 
 
-def step_fold(sim, dt):
-    """A plain fold of public ``step`` over ``run``'s dt grid."""
-    state = sim.initial_state()
+def step_fold(sim, dt, start=None):
+    """A plain fold of public ``step`` over ``run``'s dt grid.
+
+    Returns the events and the state after each step, up to the step that
+    stalls.
+    """
+    state = start or sim.initial_state()
+    t0 = state.time
     duration = sim.program.duration
-    events = []
+    events, states = [], []
     for k in range(int(math.ceil(duration / dt - 1e-12))):
-        t_next = min((k + 1) * dt, duration)
+        t_next = t0 + min((k + 1) * dt, duration)
         state, new = sim.step(state, t_next - state.time)
         events.extend(new)
+        states.append(state)
         if any(e.kind is EventKind.STALL for e in new):
             break
-    return events, state
+    return events, states
 
 
 def assert_run_is_step_fold(trace, sim, dt):
-    events, final = step_fold(sim, dt)
+    events, states = step_fold(sim, dt)
     opening = trace.events[:len(trace.events) - len(events)]
     assert opening and all(e.kind is EventKind.ENGAGEMENT_START
                            and e.time == 0.0 for e in opening)
     assert trace.events[len(opening):] == events
-    assert trace.final_state == final
+    assert trace.final_state == states[-1]
+
+
+def overlay_at(damping, dt_since_roll):
+    """The former scalar ring-down, kept as the oracle of the sampled one."""
+    if dt_since_roll <= 0 or damping.amplitude_rad == 0:
+        return 0.0
+    omega = 2 * math.pi * damping.frequency_hz
+    zeta = damping.damping_ratio
+    omega_d = omega * math.sqrt(max(1 - zeta * zeta, 0.0))
+    return damping.amplitude_rad * math.exp(-zeta * omega * dt_since_roll) \
+        * math.sin(omega_d * dt_since_roll)
+
+
+def record_of(sim, state, rolls):
+    """A state's trace record from public scalar operations.
+
+    ``rolls`` are the roll_complete events; a roll after the state adds a
+    ring-down of zero.
+    """
+    phi = state.roll_angle
+    for roll in rolls:
+        phi += roll.direction * overlay_at(sim.program.damping,
+                                           state.time - roll.time)
+    com_x, com_y = world_com(sim.layout, state).tolist()
+    u = state.contractions
+    return TraceRecord(
+        state.time, sim.program.motor_speed * state.time, phi, com_x, com_y,
+        tuple(side.routing_gain * x for side, x in zip(sim.sides, u)),
+        tuple(k * x for k, x in zip(sim.cable_stiffnesses, u)), "")
+
+
+def assert_grid_records_are_step_fold(sim, dt, start=None):
+    trace = sim.run(dt=dt, initial_state=start)
+    events, states = step_fold(sim, dt, start)
+    if trace.stalled:
+        states.pop()  # run stops at the stall without a grid record
+    rolls = [e for e in events if e.kind is EventKind.ROLL_COMPLETE]
+    grid_records = [r for r in trace.records if not r.event][1:]
+    assert grid_records == [record_of(sim, s, rolls) for s in states]
 
 
 class TestRunMatchesStepFold:
@@ -532,6 +577,50 @@ class TestRunMatchesStepFold:
     def test_events_and_final_state(self, mode, dt):
         assert_run_is_step_fold(simulator(mode=mode).run(dt=dt),
                                 simulator(mode=mode), dt)
+
+    @settings(max_examples=12, deadline=None)
+    @given(spool=st.floats(5.0, 10.0),
+           dt=st.sampled_from((1e-3, 3e-3, 1e-2, 0.25)),
+           mode=st.sampled_from(("cyclic", "pyramid", "spindle10")))
+    def test_grid_records_equal_step_fold_records(self, spool, dt, mode):
+        # 15 s holds a tip, a window boundary or saturations for most spools
+        config = dataclasses.replace(
+            CONFIG,
+            gearbox=dataclasses.replace(CONFIG.gearbox, spool_radius_mm=spool),
+            program=dataclasses.replace(CONFIG.program, duration_s=15.0))
+        assert_grid_records_are_step_fold(config.build_simulator(mode=mode),
+                                          dt)
+
+    def test_grid_point_on_a_window_boundary(self):
+        # a 1 rad sector at 10.75 rad/s through T_w = 43 opens a window
+        # every 4 s, on the 0.25 s grid
+        sim = simulator(duration=10.0, motor_speed=10.75,
+                        schedule=EngagementSchedule.cyclic(sector_arc=1.0))
+        trace = sim.run(dt=0.25)
+        assert [(e.token(), e.time) for e in trace.events[1:]] == [
+            ("engagement_end:4", 4.0), ("engagement_start:1", 4.0),
+            ("engagement_end:1", 8.0), ("engagement_start:2", 8.0)]
+        assert_grid_records_are_step_fold(sim, 0.25)
+
+    def test_grid_records_from_a_negative_start_time(self):
+        # a step ends at state.time + (t_k - state.time); where the grid
+        # crosses zero that sum can miss t_k, and the next step starts there
+        sim = simulator(duration=1.0)
+        start = dataclasses.replace(sim.initial_state(),
+                                    time=-7.80774640475351e-05)
+        assert_grid_records_are_step_fold(sim, 1e-3, start)
+
+    def test_stroke_reaching_the_rest_radius_raises(self):
+        # four equal take-ups keep the COM centred, so nothing tips, and
+        # with no cap the 94.4 mm rest radius is reached after 33.8 s
+        sim = simulator(duration=40.0, max_contraction=None,
+                        schedule=EngagementSchedule.spindle((1, 1, 1, 1)))
+        with pytest.raises(RadiusInversionError,
+                           match="reaches rest radius") as from_run:
+            sim.run(dt=1e-2)
+        with pytest.raises(RadiusInversionError) as from_fold:
+            step_fold(sim, 1e-2)
+        assert str(from_run.value) == str(from_fold.value)
 
     def test_grid_point_on_a_saturation_instant(self, monkeypatch):
         # 43 rad/s through T_w = 43 and T_dr/T_dv = 1/2 onto an 8 mm spool
