@@ -14,9 +14,8 @@ from .compliance import (CompositionLaw, JointFamily, JointMeasurementSet,
                          side_equivalent_stiffness)
 from .config import RunConfig, load_config, load_preset
 from .kinematics import (BodyState, MassLayout, RadiusInversionError,
-                         body_center, body_mass_offset, com_velocity,
-                         instantaneous_radius, offset_point, rotation_matrix,
-                         world_com)
+                         body_mass_offset, com_velocity, instantaneous_radius,
+                         offset_point, rotation_matrix, world_com)
 from .locomotion import (ActuationProgram, DampingParams, EventKind,
                          ReleaseModel, SimEvent, SimTrace, Simulator,
                          SupportPolygon, execute_roll, tipping_check)

@@ -170,35 +170,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # -- sweep --------------------------------------------------------------------
 
 def _set_config_value(data: dict, dotted: str, value: float) -> None:
-    parts = dotted.split(".")
+    *path, leaf = dotted.split(".")
     node = data
-    for part in parts[:-1]:
-        if isinstance(node, list):
-            try:
-                node = node[int(part)]
-            except (ValueError, IndexError):
-                raise CliError(f"unknown config field {dotted!r}")
-        elif isinstance(node, dict) and part in node:
-            node = node[part]
-        else:
-            raise CliError(f"unknown config field {dotted!r}")
-    leaf = parts[-1]
-    if isinstance(node, list):
-        try:
-            index = int(leaf)
-            current = node[index]
-        except (ValueError, IndexError):
-            raise CliError(f"unknown config field {dotted!r}")
-        if not isinstance(current, (int, float)) or isinstance(current, bool):
-            raise CliError(f"config field {dotted!r} is not numeric")
-        node[index] = value
-    else:
-        if not isinstance(node, dict) or leaf not in node:
-            raise CliError(f"unknown config field {dotted!r}")
-        current = node[leaf]
-        if not isinstance(current, (int, float)) or isinstance(current, bool):
-            raise CliError(f"config field {dotted!r} is not numeric")
-        node[leaf] = value
+    try:
+        for part in path:
+            node = node[int(part) if isinstance(node, list) else part]
+        key = int(leaf) if isinstance(node, list) else leaf
+        current = node[key]
+    except (KeyError, IndexError, TypeError, ValueError):
+        raise CliError(f"unknown config field {dotted!r}")
+    if not isinstance(current, (int, float)) or isinstance(current, bool):
+        raise CliError(f"config field {dotted!r} is not numeric")
+    node[key] = value
 
 
 def _sweep_values(args: argparse.Namespace) -> List[float]:

@@ -407,6 +407,3 @@ def write_atomic(path: str, content: str) -> None:
     with open_atomic(path) as handle:
         handle.write(content)
 
-
-def dump_config(config: RunConfig, path: str) -> None:
-    write_atomic(path, json.dumps(config.to_dict(), indent=2) + "\n")

@@ -115,11 +115,6 @@ class BodyState:
                                      roll_angle, support_radius)
 
 
-def body_center(roll_angle: float, support_radius: float) -> np.ndarray:
-    """World position of the body center under no-slip rolling: (R*phi, 0)."""
-    return np.array([support_radius * roll_angle, 0.0])
-
-
 def rotation_matrix(roll_angle: float) -> np.ndarray:
     """Planar rotation matrix [[cos, -sin], [sin, cos]]."""
     c, s = math.cos(roll_angle), math.sin(roll_angle)

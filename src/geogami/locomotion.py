@@ -17,7 +17,9 @@ stages.  Most grid steps are quiet: they end before the window boundary
 and every saturation, on a state that does not tip.  numpy evaluates
 runs of such steps with the scalar engine's arithmetic, in its order, and
 stores them as record columns.  Every other step goes through the scalar
-``_advance``, the only source of events, tip bisection and clamps.
+``_advance``, the only source of events, tips and clamps.  A tip happens
+at the first float at which the tipping predicate holds, found in closed
+form: the COM x offset is affine in time between events.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .kinematics import (BodyState, MassLayout, mass_offset_xy, radii,
                          world_com)
 from .transmission import EngagementSchedule, GearboxConfig, ScheduleMode
 
-TIP_BISECTION_TOL = 1e-9  # s
 _PIVOT_Y_TOL = 1e-9
 # grid steps ``run`` evaluates in one numpy pass; a pass that ends early
 # at an event wastes at most this many step evaluations
@@ -520,19 +521,38 @@ class Simulator:
         return SimEvent(EventKind.STALL, state.time,
                         program.motor_speed * state.time, state)
 
-    def _bisect_tip(self, state: BodyState, engaged: Sequence[int],
-                    t_lo: float, t_hi: float) -> float:
-        """First instant in (t_lo, t_hi] where the tipping predicate holds."""
-        def tipping_at(t: float) -> bool:
-            return self._tip_check(self._advanced(state, engaged, t)).tipping
+    def _tip_time(self, state: BodyState, engaged: Sequence[int],
+                  t_hi: float, report: TippingReport) -> float:
+        """First float in ``(state.time, t_hi]`` at which the state tips.
 
-        while t_hi - t_lo > TIP_BISECTION_TOL:
-            mid = 0.5 * (t_lo + t_hi)
-            if tipping_at(mid):
-                t_hi = mid
+        ``state`` is stable and tips with ``report`` once advanced to
+        ``t_hi``.  Between events the contractions grow linearly, so the
+        COM x offset is affine in time: the line through its values at
+        the two ends meets the pivot plus the lever at the estimate.
+        From there, steps that double from one ulp and then halvings close
+        in on the engine's own predicate (floats near time zero are too
+        dense to step through one at a time), so the float before the
+        result does not tip.
+        """
+        t0 = state.time
+        lever = self.polygon.contact_lever
+        pivot = (report.forward_pivot_x + lever if report.direction > 0
+                 else report.rear_pivot_x - lever)
+        com0 = self._tip_check(state).com_offset_x
+        t = t0 + (t_hi - t0) * (pivot - com0) / (report.com_offset_x - com0)
+        t = min(max(t, math.nextafter(t0, math.inf)),
+                math.nextafter(t_hi, -math.inf))
+        # lo stays stable and hi tipping; halve once a step overshoots
+        lo, hi, step = t0, t_hi, math.ulp(t)
+        while lo < t < hi:
+            if self._tip_check(self._advanced(state, engaged, t)).tipping:
+                hi, t = t, t - step
             else:
-                t_lo = mid
-        return t_hi
+                lo, t = t, t + step
+            step *= 2
+            if not lo < t < hi:
+                t = lo + (hi - lo) / 2
+        return hi
 
     def _resolve_tips(self, state: BodyState,
                       events: List[SimEvent]) -> BodyState:
@@ -570,8 +590,9 @@ class Simulator:
                  events: List[SimEvent]) -> BodyState:
         """Advance a tip-stable state to ``t_end``, appending the events crossed.
 
-        Returns the final state, tip-checked and stable (a stall is stable
-        too).
+        A tip happens at the first float at which the tipping predicate
+        holds (``_tip_time``).  Returns the final state, tip-checked and
+        stable (a stall is stable too).
         """
         program = self.program
         cap = program.max_contraction
@@ -591,9 +612,10 @@ class Simulator:
             t_stop = min(t_end, boundary, t_sat)
 
             probe = self._advanced(state, engaged, t_stop)
+            report = self._tip_check(probe)
             recheck = False
-            if self._tip_check(probe).tipping:
-                t_tip = self._bisect_tip(state, engaged, t0, t_stop)
+            if report.tipping:
+                t_tip = self._tip_time(state, engaged, t_stop, report)
                 state = self._advanced(state, engaged, t_tip)
                 state = self._resolve_tips(state, events)
                 if t_tip < boundary:

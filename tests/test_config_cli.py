@@ -12,14 +12,14 @@ import pytest
 
 from geogami import config as geogami_config, svgplot
 from geogami.cli import main
-from geogami.config import (ConfigError, available_presets, dump_config,
-                            load_config, load_preset, write_atomic)
+from geogami.config import (ConfigError, available_presets, load_config,
+                            load_preset, write_atomic)
 from geogami.locomotion import EventKind, SimTrace, Simulator
 
 
 def write_config(tmp_path, config, name="run.json"):
     path = tmp_path / name
-    dump_config(config, str(path))
+    path.write_text(json.dumps(config.to_dict()))
     return str(path)
 
 
@@ -137,7 +137,7 @@ class TestConfig:
     def test_preset_dir_env_override(self, tmp_path, monkeypatch):
         src = (tmp_path / "mine.json")
         builtin = load_preset("symmetric-test")
-        dump_config(builtin, str(src))
+        src.write_text(json.dumps(builtin.to_dict()))
         monkeypatch.setenv("GEOGAMI_PRESET_DIR", str(tmp_path))
         assert available_presets() == ["mine"]
         assert load_preset("mine") == builtin
@@ -435,6 +435,30 @@ class TestSweepCli:
         captured = capsys.readouterr()
         assert code == 2
         assert "not numeric" in captured.err
+
+    @pytest.mark.parametrize("param, error", [
+        ("sides.0.routing_gain", None),
+        ("program.spindle_profiles.pyramid.1", None),
+        ("sides.9.routing_gain", "unknown config field {!r}"),
+        ("sides.x.routing_gain", "unknown config field {!r}"),
+        ("gearbox.spool_radius_mm.x", "unknown config field {!r}"),
+        ("program.spindle_profiles.pyramid.9", "unknown config field {!r}"),
+        ("program.spindle_profiles.pyramid", "config field {!r} is not numeric"),
+        ("description", "config field {!r} is not numeric"),
+        ("gearbox", "config field {!r} is not numeric"),
+    ])
+    def test_param_path_through_lists_and_dicts(self, param, error, tmp_path,
+                                                capsys):
+        code = main(["sweep", "--preset", "symmetric-test", "--param", param,
+                     "--values", "1", "--duration-s", "0.5",
+                     "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        if error is None:
+            assert code == 0
+            assert (tmp_path / "sweep.csv").read_text().count("\n") == 2
+        else:
+            assert code == 2
+            assert captured.err == f"error: {error.format(param)}\n"
 
 
 class TestInputChecks:

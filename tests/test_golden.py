@@ -15,7 +15,7 @@ from geogami.cli import main
 from geogami.config import load_preset
 
 GOLDEN_SHA256 = {
-    "cyclic": "be6c218c9240b272f6b05876d2eb05568cce9c10eeb4f73f817947818a3cacc5",
+    "cyclic": "cb2eb747e0ab41d7bbb97544cebf67958fab4c8905ef2dfa6f94b9125ed5df9b",
     "pyramid": "ed817ce380b6d9b46d7e9e5b8bf6b5c27d95a22830fbb102e4f89340efa5e583",
     "spindle5": "e9ac2e34c268dae5e903f1a1a1f9a9218d4849a15bbececded4fc3c3db758e1b",
     "spindle10": "a224c2c5d3b3ea6f47e47fb969409dcc6527d3a886f4e7e0500745f1bbb72835",
@@ -25,9 +25,9 @@ GOLDEN_SHA256 = {
 # (tips between grid points), the other ring-down overlay, a rolled start
 # (other ground pivots, 3 rolls) and a preset whose window is a full turn
 VARIANT_SHA256 = {
-    "dt-1e-2": "31c0dfe97c0923c9454673f63b0694e39a9cebcc1d36075c7828ec0f464517af",
-    "origami-off": "0f52bfdefb0564c971e3fd7601d557f1980037b0985e7e163a04050a2447ea63",
-    "initial-roll-90": "4d104c055164e5c3a39ec7f3e76eea29910cc7fefcb137a2ea7aa7953df79cda",
+    "dt-1e-2": "840cd07100d9e6ec7b1a13be1926549123e50a167fa088e2ad644a2838fb35b1",
+    "origami-off": "cacedd919b8609d64c273b8b3bf751a979956e2eee27cb1c468e7b09c32b8912",
+    "initial-roll-90": "7b730918c3eca73e1144086cd9dcbcf80924e4cffd74ccd2f802728b2ef4571d",
     "symmetric-test": "a0d46932cca41c74e12eb5d98d013e7e11b548e3a511d426366c9511090ca914",
 }
 

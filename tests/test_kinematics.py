@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from geogami.kinematics import (BodyState, MassLayout,
-                                RadiusInversionError, body_center,
-                                body_mass_offset, com_velocity,
-                                instantaneous_radius, offset_point, radii,
-                                rotation_matrix, world_com)
+                                RadiusInversionError, body_mass_offset,
+                                com_velocity, instantaneous_radius,
+                                offset_point, radii, rotation_matrix,
+                                world_com)
 
 LAYOUT = MassLayout()
 
@@ -35,20 +35,6 @@ class TestInstantaneousRadius:
     def test_negative_contraction_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             instantaneous_radius(94.4, -0.1)
-
-
-class TestBodyCenter:
-    def test_zero(self):
-        assert np.allclose(body_center(0.0, 94.4), (0.0, 0.0))
-
-    def test_quarter_roll_travel(self):
-        center = body_center(math.pi / 2, 94.4)
-        assert center[0] == pytest.approx(148.3, abs=0.05)
-        assert center[1] == 0.0
-
-    def test_linear_in_angle(self):
-        assert body_center(2.0, 94.4)[0] == pytest.approx(
-            2 * body_center(1.0, 94.4)[0], rel=1e-15)
 
 
 class TestRotationMatrix:
@@ -104,8 +90,7 @@ class TestWorldCom:
         for phi in rng.uniform(-6, 6, size=25):
             state = BodyState.at_rest(LAYOUT, roll_angle=float(phi))
             assert np.allclose(world_com(LAYOUT, state),
-                               body_center(phi, state.support_radius),
-                               atol=1e-9)
+                               (state.support_radius * phi, 0.0), atol=1e-9)
 
     def test_identity_rotation_adds_offset(self):
         layout = MassLayout(central_mass=0.0,
@@ -175,7 +160,7 @@ class TestOffsetPoint:
             state = BodyState.from_contractions(layout, (0, 0, 0, u4),
                                                 roll_angle=phi)
             com_x = world_com(layout, state)[0]
-            center_x = body_center(phi, state.support_radius)[0]
+            center_x = state.support_radius * phi
             point_x = offset_point(state)[0]
             assert 4 * (com_x - center_x) == pytest.approx(
                 point_x - center_x, rel=1e-9, abs=1e-9)

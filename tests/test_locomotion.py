@@ -101,15 +101,13 @@ class TestTippingCheck:
 
     def test_report_offset_matches_world_com(self):
         # the predicate's scalar fast path must agree with the public COM ops
-        from geogami.kinematics import body_center, world_com
         rng = np.random.default_rng(13)
         for _ in range(30):
             u = tuple(rng.uniform(0, 20, size=4))
             phi = float(rng.uniform(-7, 7))
             state = BodyState.from_contractions(LAYOUT, u, roll_angle=phi)
             report = tipping_check(LAYOUT, state, POLYGON)
-            expected = world_com(LAYOUT, state)[0] - \
-                body_center(phi, state.support_radius)[0]
+            expected = world_com(LAYOUT, state)[0] - state.support_radius * phi
             assert report.com_offset_x == pytest.approx(expected, abs=1e-9)
 
 
@@ -205,15 +203,18 @@ class TestStep:
             sched.active_corner(speed * mid / teeth),)
 
     def test_tip_on_a_window_boundary_still_closes_the_window(self):
-        # a contact lever one ulp short of the COM lead at the end of the
-        # first window makes the body tip exactly at the boundary
+        # at the 7.5 mm spool the COM lead steps up at the end of the first
+        # window, so a contact lever equal to the lead one ulp earlier makes
+        # the body tip exactly at the boundary
         sim = simulator()
+        sim = Simulator(dataclasses.replace(sim.gearbox, spool_radius=7.5),
+                        LAYOUT, sim.sides, POLYGON, sim.program, sim.law)
         boundary = sim.program.schedule.window_start(1) * 43 / 30.0
+        before = math.nextafter(boundary, -math.inf)
         end_of_window = BodyState.from_contractions(
-            LAYOUT, (0.0, 0.0, 0.0, sim._rates[3] * boundary), time=boundary)
+            LAYOUT, (0.0, 0.0, 0.0, sim._rates[3] * before), time=before)
         report = tipping_check(LAYOUT, end_of_window, POLYGON)
-        lever = math.nextafter(report.com_offset_x - report.forward_pivot_x,
-                               -math.inf)
+        lever = report.com_offset_x - report.forward_pivot_x
         sim = Simulator(sim.gearbox, LAYOUT, sim.sides,
                         dataclasses.replace(POLYGON, contact_lever=lever),
                         sim.program, sim.law)
@@ -222,6 +223,51 @@ class TestStep:
             ("tip:+", boundary), ("roll_complete:+", boundary),
             ("engagement_end:4", boundary), ("engagement_start:1", boundary)]
         assert state.contractions[3] == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(spool=st.floats(6.4, 10.0), lever=st.floats(0.5, 8.0),
+           mode=st.sampled_from(("cyclic", "pyramid", "spindle5",
+                                 "spindle10")))
+    def test_tip_is_the_first_tipping_float(self, spool, lever, mode):
+        config = dataclasses.replace(
+            CONFIG, gearbox=dataclasses.replace(CONFIG.gearbox,
+                                                spool_radius_mm=spool),
+            support=dataclasses.replace(CONFIG.support,
+                                        contact_lever_mm=lever))
+        sim = config.build_simulator(mode=mode)
+        events = sim.timeline().events
+        for before, tip in zip(events, events[1:]):
+            # a tip at the time of the event before it is not a crossing:
+            # a clamp, a release or a roll left the state tipping
+            if tip.kind is not EventKind.TIP or before.time == tip.time:
+                continue
+            engaged = sim._engagement(before.time)[0]
+
+            def tips(t):
+                return sim._tip_check(
+                    sim._advanced(before.state, engaged, t)).tipping
+
+            assert tips(tip.time)
+            assert not tips(math.nextafter(tip.time, -math.inf))
+
+    def test_tip_just_after_time_zero_is_the_first_tipping_float(self):
+        # the pivot sits exactly under the start COM and the lever is 0, so
+        # the body tips within femtoseconds, where floats are dense
+        sim = simulator()
+        start = sim.initial_state()
+        com = sim._tip_check(start).com_offset_x
+        polygon = SupportPolygon(tuple((com if x == 0.0 else x, y)
+                                       for x, y in POLYGON.vertices))
+        sim = Simulator(sim.gearbox, LAYOUT, sim.sides, polygon, sim.program,
+                        sim.law)
+        probe = sim._advanced(start, (4,), 1.0)
+        t = sim._tip_time(start, (4,), 1.0, sim._tip_check(probe))
+
+        def tips(t):
+            return sim._tip_check(sim._advanced(start, (4,), t)).tipping
+
+        assert 0.0 < t < 1e-12
+        assert tips(t) and not tips(math.nextafter(t, -math.inf))
 
     def test_event_times_converge_under_dt_refinement(self):
         times = {}
@@ -272,10 +318,14 @@ class TestRunProgram:
         assert len(tips) == 4
         order = (4, 1, 2, 3)
         for k, tip in enumerate(tips):
-            assert tip.time == pytest.approx(k * window + 43 / 6, abs=1e-6)
+            assert tip.time == pytest.approx(k * window + 43 / 6, abs=1e-12)
             engaged = order[k]
             assert tip.state.contractions[engaged - 1] == pytest.approx(
                 20.0, abs=1e-5)
+        # timeline() has no grid, so no running sum adds to the rounding
+        tips = events_of(simulator().timeline(), EventKind.TIP)
+        assert [tip.time for tip in tips] == pytest.approx(
+            [k * window + 43 / 6 for k in range(4)], abs=1e-13)
 
     def test_tip_delay_is_strictly_positive(self):
         trace = simulator(duration=WINDOW_S).run()
