@@ -169,13 +169,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 # -- sweep --------------------------------------------------------------------
 
+def _config_key(node: object, part: str) -> object:
+    """``part`` as a key of ``node``; a list takes a plain decimal index."""
+    # int() also takes "-1", "+1", "0_0" and " 1", naming another entry
+    if isinstance(node, list) and not (part.isascii() and part.isdigit()):
+        raise KeyError(part)
+    return int(part) if isinstance(node, list) else part
+
+
 def _set_config_value(data: dict, dotted: str, value: float) -> None:
     *path, leaf = dotted.split(".")
     node = data
     try:
         for part in path:
-            node = node[int(part) if isinstance(node, list) else part]
-        key = int(leaf) if isinstance(node, list) else leaf
+            node = node[_config_key(node, part)]
+        key = _config_key(node, leaf)
         current = node[key]
     except (KeyError, IndexError, TypeError, ValueError):
         raise CliError(f"unknown config field {dotted!r}")
@@ -200,6 +208,8 @@ def _sweep_values(args: argparse.Namespace) -> List[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise CliError(f"--range must be start:stop:step, got {args.range!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise CliError(f"--range must be finite, got {args.range!r}")
     if step == 0:
         raise CliError("--range step must be nonzero")
     if (stop - start) * step < 0:

@@ -8,7 +8,9 @@ effective unit here is N/mm; ``SideAssembly.angular_to_radial`` records
 the conversion factor used (1.0 keeps the quoted values as-is).
 
 Fitting and evaluation are pure; models and assemblies are immutable and
-freely shareable.
+freely shareable.  Functions that evaluate polynomials import
+numpy.polynomial (0.8 MB resident) when called, so a simulation with the
+default instant-return release never loads it.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 
 class MeasurementFormatError(ValueError):
@@ -143,11 +144,12 @@ class JointModel:
         lo, hi = self.valid_range
         if not lo < hi:
             raise ValueError(f"valid_range must be increasing, got {self.valid_range}")
-        if npoly.polyval(0.0, self.force_coeffs) < -1e-9:
+        if self.force_coeffs[0] < -1e-9:
             raise ValueError("bending force at zero bend must be >= 0")
 
     def force(self, theta: float) -> float:
         """Bending force F_b at a bend angle (no range check)."""
+        from numpy.polynomial import polynomial as npoly
         return float(npoly.polyval(theta, self.force_coeffs))
 
     def to_dict(self) -> dict:
@@ -186,6 +188,7 @@ def fit_joint_model(data: JointMeasurementSet, degree: int = 3) -> JointModel:
     mean_stiffness is the average of dF_b/dtheta over the fitted range,
     which for a polynomial is the endpoint difference quotient.
     """
+    from numpy.polynomial import polynomial as npoly
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if len(data.samples) < degree + 1:
@@ -210,6 +213,7 @@ def fit_joint_model(data: JointMeasurementSet, degree: int = 3) -> JointModel:
 
 def fit_residuals(model: JointModel, data: JointMeasurementSet) -> Tuple[float, float]:
     """Max absolute residuals (force N, return angle rad) of a fit."""
+    from numpy.polynomial import polynomial as npoly
     force_res = np.max(np.abs(
         npoly.polyval(data.angles, model.force_coeffs) - data.forces))
     return_res = np.max(np.abs(
@@ -219,6 +223,7 @@ def fit_residuals(model: JointModel, data: JointMeasurementSet) -> Tuple[float, 
 
 def bending_stiffness(model: JointModel, theta: float) -> float:
     """Angle-dependent bending stiffness k_b = dF_b/dtheta (N/rad)."""
+    from numpy.polynomial import polynomial as npoly
     _check_range(model, theta)
     deriv = npoly.polyder(model.force_coeffs)
     return float(npoly.polyval(theta, deriv))
@@ -226,49 +231,31 @@ def bending_stiffness(model: JointModel, theta: float) -> float:
 
 def return_angle(model: JointModel, theta: float) -> float:
     """Elastic return angle after unloading at peak bend, clamped to [0, theta]."""
+    from numpy.polynomial import polynomial as npoly
     _check_range(model, theta)
     raw = float(npoly.polyval(theta, model.return_coeffs))
     return min(max(raw, 0.0), theta)
 
 
-StiffnessElement = Union[JointModel, float, int]
-
-
-def _element_stiffness(element: StiffnessElement, theta: Optional[float]) -> float:
-    if isinstance(element, JointModel):
-        if theta is None:
-            return element.mean_stiffness
-        return bending_stiffness(element, theta)
-    return float(element)
-
-
-def chain_stiffness(elements: Sequence[StiffnessElement],
-                    theta: Optional[float] = None) -> float:
-    """Series (harmonic) combination of joint stiffnesses along one path.
-
-    JointModel elements are evaluated at ``theta`` (their mean stiffness
-    when theta is None); scalars are used directly.
-    """
+def chain_stiffness(elements: Sequence[float]) -> float:
+    """Series (harmonic) combination of joint stiffnesses along one path."""
     if not elements:
         raise ValueError("chain needs at least one element")
     total = 0.0
-    for element in elements:
-        k = _element_stiffness(element, theta)
+    for k in elements:
         if k <= 0:
             raise ValueError(f"chain element stiffness must be > 0, got {k}")
         total += 1.0 / k
     return 1.0 / total
 
 
-def parallel_stiffness(elements: Sequence[StiffnessElement],
-                       theta: Optional[float] = None) -> float:
+def parallel_stiffness(elements: Sequence[float]) -> float:
     """Parallel combination (sum) of stiffnesses sharing one displacement."""
     if not elements:
         raise ValueError("parallel combination needs at least one element")
-    values = [_element_stiffness(e, theta) for e in elements]
-    if any(k <= 0 for k in values):
+    if any(k <= 0 for k in elements):
         raise ValueError("parallel element stiffness must be > 0")
-    return sum(values)
+    return float(sum(elements))
 
 
 @dataclass(frozen=True)

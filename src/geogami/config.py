@@ -165,6 +165,8 @@ class RunConfig:
             raise
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for key, value in asdict(self).items():
+            _check_finite(value, key)
         self._check_stroke(gearbox, layout, sides, program)
 
     def _check_stroke(self, gearbox: GearboxConfig, layout: MassLayout,
@@ -318,6 +320,17 @@ class RunConfig:
                 schema_version=data.get("schema_version", SCHEMA_VERSION))
         except TypeError as exc:
             raise ConfigError(f"unknown or missing config field: {exc}") from exc
+
+
+def _check_finite(node: object, path: str) -> None:
+    """Reject NaN or inf, which JSON and ``--values`` admit, by dotted field."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{path} must be finite, got {node}")
+    if isinstance(node, (tuple, list)):
+        node = dict(enumerate(node))
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{path}.{key}")
 
 
 def _parse_config(text: str, source: str) -> RunConfig:

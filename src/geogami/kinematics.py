@@ -123,7 +123,11 @@ def rotation_matrix(roll_angle: float) -> np.ndarray:
 
 def mass_offset_xy(layout: MassLayout,
                    radii_values: Sequence[float]) -> Tuple[float, float]:
-    """Scalar components of the body-frame mass offset (hot-loop friendly)."""
+    """Components ``(x, y)`` of the body-frame mass offset.
+
+    Takes one float per corner, or one array per corner for many states.
+    The sums run corner 1 to 4 either way, so arrays give the floats' values.
+    """
     total = layout.total_mass
     if total <= 0:
         raise ValueError("total mass must be > 0")

@@ -25,7 +25,6 @@ form: the COM x offset is affine in time between events.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import index
@@ -33,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .compliance import (CompositionLaw, JointModel, SideAssembly,
+from .compliance import (CompositionLaw, SideAssembly,
                          cable_series_stiffness, default_joint_model,
                          JointFamily, return_angle)
 # world_com is unused here; bench/tracer.py counts its calls under this name
@@ -45,6 +44,7 @@ _PIVOT_Y_TOL = 1e-9
 # grid steps ``run`` evaluates in one numpy pass; a pass that ends early
 # at an event wastes at most this many step evaluations
 _SAMPLE_STEPS = 4096
+_BEND_PER_CONTRACTION = 0.0697   # rad/mm of joint bend, return-angle release
 
 
 class SimulationError(RuntimeError):
@@ -64,7 +64,6 @@ class EventKind(Enum):
 class SimEvent:
     kind: EventKind
     time: float
-    motor_angle: float
     state: BodyState
     corner: Optional[int] = None
     direction: Optional[int] = None
@@ -126,8 +125,7 @@ class ActuationProgram:
 
     ``max_contraction`` is the saturation limit of a corner (mm); None
     disables saturation (the cyclic drive is bounded by its engagement
-    window instead).  ``bend_per_contraction`` converts contraction to
-    joint bend for the return-angle-limited release model.
+    window instead).
     """
 
     motor_speed: float
@@ -136,8 +134,6 @@ class ActuationProgram:
     release_model: ReleaseModel = ReleaseModel.INSTANT_RETURN
     damping: DampingParams = DampingParams()
     max_contraction: Optional[float] = None
-    return_joint: Optional[JointModel] = None
-    bend_per_contraction: float = 0.0697   # rad/mm
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.motor_speed) and self.motor_speed >= 0):
@@ -148,8 +144,6 @@ class ActuationProgram:
                              f"got {self.duration}")
         if self.max_contraction is not None and self.max_contraction <= 0:
             raise ValueError("max_contraction must be > 0 or None")
-        if self.bend_per_contraction <= 0:
-            raise ValueError("bend_per_contraction must be > 0")
 
     @property
     def roll_quantum(self) -> float:
@@ -215,16 +209,14 @@ class TippingReport:
     com_offset_x: float     # world COM x relative to the body center
     forward_pivot_x: float  # world x of the leading ground vertex, ditto
     rear_pivot_x: float
-    pivot_index: int
 
 
 def ground_pivots(polygon: SupportPolygon,
-                  roll_angle: float) -> Tuple[int, float, int, float]:
-    """Forward and rear ground-contact vertices at a roll angle.
+                  roll_angle: float) -> Tuple[float, float]:
+    """x of the forward and rear ground-contact vertices at a roll angle.
 
-    Returns ``(forward index, forward x, rear index, rear x)``, x relative
-    to the body center.  Vertices within a relative 1e-9 of the lowest
-    world height all touch the ground.
+    Returns ``(forward x, rear x)`` relative to the body center.  Vertices
+    within a relative 1e-9 of the lowest world height all touch the ground.
     """
     c, s = math.cos(roll_angle), math.sin(roll_angle)
     min_y = math.inf
@@ -233,19 +225,16 @@ def ground_pivots(polygon: SupportPolygon,
         if wy < min_y:
             min_y = wy
     tol = _PIVOT_Y_TOL * max(1.0, abs(min_y))
-    ground = [(k, c * vx - s * vy)
-              for k, (vx, vy) in enumerate(polygon.vertices)
+    ground = [c * vx - s * vy for vx, vy in polygon.vertices
               if (s * vx + c * vy) - min_y <= tol]
     if not ground:
         raise ValueError("degenerate support polygon: pivot undefined")
-    rear_idx, rear_x = min(ground, key=lambda item: item[1])
-    fwd_idx, fwd_x = max(ground, key=lambda item: item[1])
-    return fwd_idx, fwd_x, rear_idx, rear_x
+    return max(ground), min(ground)
 
 
 def tipping_check(layout: MassLayout, state: BodyState,
                   polygon: SupportPolygon,
-                  pivots: Optional[Tuple[int, float, int, float]] = None
+                  pivots: Optional[Tuple[float, float]] = None
                   ) -> TippingReport:
     """Compare the world COM against the ground-contact pivot.
 
@@ -260,14 +249,14 @@ def tipping_check(layout: MassLayout, state: BodyState,
     com_x = c * dbx - s * dby
     if not math.isfinite(com_x):
         raise ValueError("degenerate state: COM is not finite")
-    fwd_idx, fwd_x, rear_idx, rear_x = ground_pivots(
+    fwd_x, rear_x = ground_pivots(
         polygon, state.roll_angle) if pivots is None else pivots
     lever = polygon.contact_lever
     if com_x > fwd_x + lever:
-        return TippingReport(True, 1, com_x, fwd_x, rear_x, fwd_idx)
+        return TippingReport(True, 1, com_x, fwd_x, rear_x)
     if com_x < rear_x - lever:
-        return TippingReport(True, -1, com_x, fwd_x, rear_x, rear_idx)
-    return TippingReport(False, 0, com_x, fwd_x, rear_x, fwd_idx)
+        return TippingReport(True, -1, com_x, fwd_x, rear_x)
+    return TippingReport(False, 0, com_x, fwd_x, rear_x)
 
 
 def execute_roll(state: BodyState, direction: int,
@@ -300,12 +289,26 @@ class TraceRecord:
 
 TRACE_CSV_HEADER = ("t_s,theta_m_rad,phi_rad,xG_mm,yG_mm,"
                     "L1_mm,L2_mm,L3_mm,L4_mm,T1_N,T2_N,T3_N,T4_N,event")
-# times and roll angles to 9 decimals, everything else to 6
-_CSV_ROW = "%.9f,%.6f,%.9f,%.6f,%.6f," + "%.6f," * 8 + "%s\n"
-# dust that rounds to zero prints as "-0.000..."; the trace writes "0.000..."
-_NEGATIVE_ZERO = re.compile(r"(?<![^,])-(?=0\.0+,)")
-# the numeric CSV columns, in TraceRecord field order
-_N_COLUMNS = 13
+# decimals of the numeric CSV columns, in TraceRecord field order: times
+# and roll angles to 9, everything else to 6
+_CSV_DECIMALS = (9, 6, 9) + (6,) * 10
+_CSV_ROW = "".join(f"%.{d}f," for d in _CSV_DECIMALS) + "%s\n"
+
+
+def _zero_bound(decimals: int) -> float:
+    """Largest float that ``%.<decimals>f`` prints as zero.
+
+    Half a unit of the last decimal is no float: the float nearest to it
+    lies on one side, and that float's neighbour on the other.
+    """
+    half = float(f"5e-{decimals + 1}")
+    zero = float(f"%.{decimals}f" % half) == 0
+    return half if zero else math.nextafter(half, 0.0)
+
+
+# dust that rounds to zero would print as "-0.000..."; the trace writes
+# "0.000...", so the writer replaces it by zero before formatting
+_ZERO_BOUNDS = np.array([_zero_bound(d) for d in _CSV_DECIMALS])
 # rows per formatting batch: one ``tolist`` and one ``write`` each
 _CSV_BATCH = 1024
 
@@ -336,7 +339,7 @@ class SimTrace:
     """
 
     columns: np.ndarray = field(
-        default_factory=lambda: np.empty((0, _N_COLUMNS)))
+        default_factory=lambda: np.empty((0, len(_CSV_DECIMALS))))
     tokens: List[str] = field(default_factory=list)
     events: List[SimEvent] = field(default_factory=list)
     rolls_completed: int = 0
@@ -368,14 +371,12 @@ class SimTrace:
         stream.write(TRACE_CSV_HEADER + "\n")
         for first in range(0, len(self.tokens), _CSV_BATCH):
             last = first + _CSV_BATCH
-            rows = []
-            for values, token in zip(self.columns[first:last].tolist(),
-                                     self.tokens[first:last]):
-                row = _CSV_ROW % (*values, token)
-                if "-0.0" in row:
-                    row = _NEGATIVE_ZERO.sub("", row)
-                rows.append(row)
-            stream.write("".join(rows))
+            block = self.columns[first:last]
+            block = np.where(np.abs(block) <= _ZERO_BOUNDS, 0.0, block)
+            stream.write("".join(
+                _CSV_ROW % (*values, token)
+                for values, token in zip(block.tolist(),
+                                         self.tokens[first:last])))
 
     def summary_line(self) -> str:
         stall = "yes" if self.stalled else "no"
@@ -420,7 +421,7 @@ class Simulator:
             self._spindle_corners = tuple(
                 c for c in range(1, 5) if sched.take_up[c - 1] > 0)
         # the support polygon is fixed: ground pivots by roll angle
-        self._pivots: Dict[float, Tuple[int, float, int, float]] = {}
+        self._pivots: Dict[float, Tuple[float, float]] = {}
 
     # -- state helpers ----------------------------------------------------
 
@@ -479,9 +480,8 @@ class Simulator:
             return 0.0
         if contraction <= 0:
             return 0.0
-        joint = self.program.return_joint or default_joint_model(
-            JointFamily.FOLDING_24MM)
-        theta = contraction * self.program.bend_per_contraction
+        joint = default_joint_model(JointFamily.FOLDING_24MM)
+        theta = contraction * _BEND_PER_CONTRACTION
         theta = min(max(theta, joint.valid_range[0]), joint.valid_range[1])
         if theta <= 0:
             return 0.0
@@ -490,8 +490,7 @@ class Simulator:
 
     # -- event machinery ---------------------------------------------------
 
-    def _ground_pivots(self, roll_angle: float
-                       ) -> Tuple[int, float, int, float]:
+    def _ground_pivots(self, roll_angle: float) -> Tuple[float, float]:
         pivots = self._pivots.get(roll_angle)
         if pivots is None:
             pivots = self._pivots[roll_angle] = ground_pivots(
@@ -509,8 +508,7 @@ class Simulator:
         permanently; the cyclic drive releases at the window boundary and
         carries on, so it never stalls here.
         """
-        program = self.program
-        cap = program.max_contraction
+        cap = self.program.max_contraction
         engaged = self._spindle_corners
         if not engaged or cap is None:
             return None
@@ -518,8 +516,7 @@ class Simulator:
             return None
         if self._tip_check(state).tipping:
             return None
-        return SimEvent(EventKind.STALL, state.time,
-                        program.motor_speed * state.time, state)
+        return SimEvent(EventKind.STALL, state.time, state)
 
     def _tip_time(self, state: BodyState, engaged: Sequence[int],
                   t_hi: float, report: TippingReport) -> float:
@@ -557,18 +554,16 @@ class Simulator:
     def _resolve_tips(self, state: BodyState,
                       events: List[SimEvent]) -> BodyState:
         """Execute rolls until the state is stable again."""
-        motor_angle = self.program.motor_speed * state.time
         for _ in range(8):
             report = self._tip_check(state)
             if not report.tipping:
                 return state
-            events.append(SimEvent(EventKind.TIP, state.time, motor_angle,
-                                   state, direction=report.direction))
+            events.append(SimEvent(EventKind.TIP, state.time, state,
+                                   direction=report.direction))
             state = execute_roll(state, report.direction,
                                  self.program.roll_quantum)
             events.append(SimEvent(EventKind.ROLL_COMPLETE, state.time,
-                                   motor_angle, state,
-                                   direction=report.direction))
+                                   state, direction=report.direction))
         raise SimulationError("state keeps tipping after 8 consecutive rolls")
 
     def step(self, state: BodyState, dt: float) -> Tuple[BodyState, List[SimEvent]]:
@@ -594,8 +589,7 @@ class Simulator:
         holds (``_tip_time``).  Returns the final state, tip-checked and
         stable (a stall is stable too).
         """
-        program = self.program
-        cap = program.max_contraction
+        cap = self.program.max_contraction
         while state.time < t_end:
             t0 = state.time
             engaged, boundary = self._engagement(t0)
@@ -627,8 +621,7 @@ class Simulator:
                     u[sat_corner - 1] = cap
                     state = self._with_contractions(state, u, state.time)
                     events.append(SimEvent(
-                        EventKind.SATURATION, state.time,
-                        program.motor_speed * state.time, state,
+                        EventKind.SATURATION, state.time, state,
                         corner=sat_corner))
                     stall = self.detect_stall(state)
                     if stall is not None:
@@ -641,11 +634,10 @@ class Simulator:
                 u = list(state.contractions)
                 u[old_corner - 1] = self._released_contraction(u[old_corner - 1])
                 state = self._with_contractions(state, u, state.time)
-                motor_angle = program.motor_speed * state.time
                 events.append(SimEvent(EventKind.ENGAGEMENT_END, state.time,
-                                       motor_angle, state, corner=old_corner))
+                                       state, corner=old_corner))
                 events.append(SimEvent(
-                    EventKind.ENGAGEMENT_START, state.time, motor_angle, state,
+                    EventKind.ENGAGEMENT_START, state.time, state,
                     corner=self._engagement(state.time)[0][0]))
                 recheck = True
             if recheck:
@@ -659,10 +651,9 @@ class Simulator:
                ) -> Tuple[SimTrace, BodyState]:
         """Open a trace with the initial engagements."""
         state = initial_state if initial_state is not None else self.initial_state()
-        motor_angle = self.program.motor_speed * state.time
         trace = SimTrace(events=[
-            SimEvent(EventKind.ENGAGEMENT_START, state.time, motor_angle,
-                     state, corner=corner)
+            SimEvent(EventKind.ENGAGEMENT_START, state.time, state,
+                     corner=corner)
             for corner in self._engagement(state.time)[0]])
         return trace, state
 
@@ -794,26 +785,14 @@ class Simulator:
             u[:, corner - 1] = column
         # radii raises RadiusInversionError there; leave that to _advance
         quiet &= (u < self.layout.rest_radii).all(axis=1)
-        dbx, dby = self._mass_offsets(u)
+        dbx, dby = mass_offset_xy(self.layout, (self.layout.rest_radii - u).T)
         phi = state.roll_angle
         com_x = math.cos(phi) * dbx - math.sin(phi) * dby
-        _, fwd_x, _, rear_x = self._ground_pivots(phi)
+        fwd_x, rear_x = self._ground_pivots(phi)
         lever = self.polygon.contact_lever
         quiet &= (com_x <= fwd_x + lever) & (com_x >= rear_x - lever)
         n = len(grid) if quiet.all() else int(np.argmin(quiet))
         return ends[:n], u[:n]
-
-    def _mass_offsets(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``mass_offset_xy`` of each row of contractions, in its order."""
-        layout = self.layout
-        r = np.array(layout.rest_radii) - u
-        x = y = 0.0
-        for k, (m, (ux, uy)) in enumerate(zip(layout.corner_masses,
-                                              layout.ray_units)):
-            x = x + m * r[:, k] * ux
-            y = y + m * r[:, k] * uy
-        total = layout.total_mass
-        return x / total, y / total
 
     def _columns(self, state: BodyState, times: np.ndarray, u: np.ndarray,
                  roll_times: Sequence[Tuple[float, int]]) -> np.ndarray:
@@ -826,7 +805,7 @@ class Simulator:
         program = self.program
         phi = state.roll_angle
         c, s = math.cos(phi), math.sin(phi)
-        dbx, dby = self._mass_offsets(u)
+        dbx, dby = mass_offset_xy(self.layout, (self.layout.rest_radii - u).T)
         roll = np.full(len(times), phi)
         for t_roll, direction in roll_times:
             roll += direction * program.damping.overlay(times - t_roll)

@@ -122,11 +122,6 @@ class TestChainStiffness:
             extended = chain_stiffness(elements + [1.0])
             assert extended <= combined + 1e-12
 
-    def test_evaluates_joint_models_at_angle(self):
-        model = default_joint_model(JointFamily.FOLDING_24MM)
-        assert chain_stiffness([model] * 5, theta=1.0) == pytest.approx(
-            0.52 / 5, rel=1e-12)
-
     def test_parallel_utility_sums(self):
         assert parallel_stiffness([0.6, 0.6]) == pytest.approx(1.2, rel=1e-15)
 

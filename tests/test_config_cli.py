@@ -12,8 +12,8 @@ import pytest
 
 from geogami import config as geogami_config, svgplot
 from geogami.cli import main
-from geogami.config import (ConfigError, available_presets, load_config,
-                            load_preset, write_atomic)
+from geogami.config import (ConfigError, RunConfig, available_presets,
+                            load_config, load_preset, write_atomic)
 from geogami.locomotion import EventKind, SimTrace, Simulator
 
 
@@ -96,6 +96,25 @@ class TestConfig:
         assert duration in path.read_text()
         with pytest.raises(ConfigError, match="duration must be finite"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("field, value", [
+        ("support.contact_lever_mm", math.nan),
+        ("sides.0.routing_gain", math.inf),
+        ("mass_layout.corner_masses_kg.2", math.nan),
+        ("program.spindle_profiles.pyramid.1", -math.inf),
+        ("program.damping_with_origami.frequency_hz", math.nan),
+    ])
+    def test_non_finite_number_named_by_field(self, field, value):
+        # each passes the range checks of its domain type
+        data = load_preset("paper-table1").to_dict()
+        *parents, leaf = field.split(".")
+        node = data
+        for part in parents:
+            node = node[int(part) if isinstance(node, list) else part]
+        node[int(leaf) if isinstance(node, list) else leaf] = value
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(data).validate()
+        assert str(exc.value) == f"{field} must be finite, got {value}"
 
     @pytest.mark.parametrize("umask", (0o022, 0o027), ids=oct)
     def test_write_atomic_applies_umask(self, tmp_path, umask):
@@ -446,6 +465,10 @@ class TestSweepCli:
         ("program.spindle_profiles.pyramid", "config field {!r} is not numeric"),
         ("description", "config field {!r} is not numeric"),
         ("gearbox", "config field {!r} is not numeric"),
+        ("sides.-1.routing_gain", "unknown config field {!r}"),
+        ("sides.+1.routing_gain", "unknown config field {!r}"),
+        ("sides.0_0.routing_gain", "unknown config field {!r}"),
+        ("mass_layout.corner_masses_kg. 1", "unknown config field {!r}"),
     ])
     def test_param_path_through_lists_and_dicts(self, param, error, tmp_path,
                                                 capsys):
@@ -471,6 +494,11 @@ class TestInputChecks:
          "--duration-s", "inf"],
         # keeps tipping: the engine raises SimulationError
         ["sweep", "--param", "support.contact_lever_mm", "--values", "0"],
+        ["sweep", "--param", "support.contact_lever_mm", "--values", "nan"],
+        ["sweep", "--param", "support.contact_lever_mm", "--values", "inf"],
+        ["sweep", "--param", "sides.0.routing_gain", "--values", "inf"],
+        ["sweep", "--param", "gearbox.spool_radius_mm", "--range", "0:inf:1"],
+        ["sweep", "--param", "gearbox.spool_radius_mm", "--range", "nan:9:1"],
     ])
     def test_bad_input_gives_one_error_line(self, tmp_path, capsys, argv):
         code = main(argv + ["--preset", "paper-table1",

@@ -544,6 +544,18 @@ class TestTraceCsvFormat:
     @example(value=0.0000000005)
     @example(value=-0.0000000015)
     @example(value=2.5)
+    # the float neighbours of the half-unit of each column's last decimal
+    @example(value=math.nextafter(5e-7, 0.0))
+    @example(value=math.nextafter(5e-7, 1.0))
+    @example(value=math.nextafter(-5e-7, 0.0))
+    @example(value=math.nextafter(-5e-7, -1.0))
+    @example(value=math.nextafter(5e-10, 0.0))
+    @example(value=math.nextafter(5e-10, 1.0))
+    @example(value=math.nextafter(-5e-10, 0.0))
+    @example(value=math.nextafter(-5e-10, -1.0))
+    @example(value=math.nan)
+    @example(value=math.inf)
+    @example(value=-math.inf)
     def test_row_matches_per_field_rounding(self, value):
         trace = SimTrace(columns=np.full((1, 13), value), tokens=["tip:-"])
         buffer = io.StringIO()
