@@ -112,6 +112,7 @@ def _chain_rows(args: argparse.Namespace,
 
 def _cmd_gearbox(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
+    config.validate()
     cfg = config.build_gearbox()
     rows = _chain_rows(args, config)
     if args.csv:
@@ -138,20 +139,13 @@ def _cmd_gearbox(args: argparse.Namespace) -> int:
 
 # -- simulate -----------------------------------------------------------------
 
-def _simulate_config(args: argparse.Namespace) -> RunConfig:
-    """The run configuration with the command-line overrides, validated."""
+def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     overrides = {"mode": args.mode, "duration_s": args.duration_s,
                  "origami": None if args.origami is None
                  else args.origami == "on"}
     config = replace(config, program=replace(config.program, **{
         key: value for key, value in overrides.items() if value is not None}))
-    config.validate()
-    return config
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _simulate_config(args)
     mode = config.program.mode
     trace = config.build_simulator().run(dt=args.dt)
     out_dir = Path(args.out)
@@ -237,24 +231,24 @@ def _sweep_values(args: argparse.Namespace) -> List[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.duration_s is not None and args.param == "program.duration_s":
+        raise CliError("--duration-s would override every swept "
+                       "program.duration_s; give one or the other")
     base = _resolve_config(args)
     values = _sweep_values(args)
     # every point is checked before the first one runs
-    configs = []
+    sims = []
     for value in values:
         data = base.to_dict()
         _set_config_value(data, args.param, value)
         if args.duration_s is not None:
             data["program"]["duration_s"] = args.duration_s
-        config = RunConfig.from_dict(data)
-        config.validate()
-        configs.append((value, config))
+        sims.append((value, RunConfig.from_dict(data).build_simulator()))
     rows = []
-    for value, config in configs:
-        trace = config.build_simulator().timeline()
-        gearbox = config.build_gearbox()
+    for value, sim in sims:
+        trace = sim.timeline()
         capacity = transmission.cable_force_from_motor_torque(
-            gearbox.motor_torque, gearbox)
+            sim.gearbox.motor_torque, sim.gearbox)
         rows.append((value, trace.rolls_completed, trace.travel_mm, capacity,
                      trace.stalled))
     lines = ["value,rolls,travel_mm,max_tension_N,stall"]

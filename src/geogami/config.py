@@ -16,7 +16,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, TextIO, Tuple
@@ -118,6 +118,11 @@ class RunConfig:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
+        """Check the run this config describes (see ``build_simulator``)."""
+        self.build_simulator()
+
+    def _check_fields(self) -> None:
+        """The checks that need no builder: schema, types, counts, names."""
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"unsupported schema_version {self.schema_version}, "
@@ -148,12 +153,6 @@ class RunConfig:
         if self.program.mode not in SIMULATION_MODES:
             raise ConfigError(
                 f"mode must be one of {SIMULATION_MODES}, got {self.program.mode!r}")
-        if self.program.mode != "cyclic":
-            profile = self.program.spindle_profiles.get(self.program.mode)
-            if profile is None or len(profile) != 4:
-                raise ConfigError(
-                    f"spindle profile for mode {self.program.mode!r} must list "
-                    "4 take-up multipliers")
         try:
             ReleaseModel(self.program.release_model)
         except ValueError:
@@ -166,48 +165,43 @@ class RunConfig:
             raise ConfigError(
                 "with-origami damping ratio must be >= without-origami "
                 "(set allow_damping_override to relax)")
-        # builders run the per-field range checks of the domain types
-        try:
-            gearbox = self.build_gearbox()
-            layout = self.build_layout()
-            sides = self.build_sides()
-            self.build_polygon()
-            program = self.build_program()
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        for key, value in asdict(self).items():
-            _check_finite(value, key)
-        self._check_stroke(gearbox, layout, sides, program)
 
-    def _check_stroke(self, gearbox: GearboxConfig, layout: MassLayout,
-                      sides: Tuple[SideAssembly, ...],
-                      program: ActuationProgram) -> None:
-        """Reject a stroke that would pull a corner through its rest radius.
+    def _check_stroke(self, sim: Simulator) -> None:
+        """Reject a run that would pull a corner through its rest radius.
 
-        A corner winds for at most the program's driver angle, and for at
-        most one sector arc per cyclic window; a spindle scales that by its
-        take-up.  The saturation cap stops both.  This checks one stroke,
-        so contraction a return-angle-limited release carries into the
-        next window is not counted.
+        Walks the program's strokes as the engine winds them: a spindle
+        winds each corner for the whole program at its take-up, and the
+        cyclic drive winds one corner per window.  The saturation cap
+        stops a stroke, and at each window's end the corner keeps what
+        the engine's release leaves, so contraction a return-angle-limited
+        release carries into the corner's next window counts too.
         """
-        sched = program.schedule
-        driver = program.motor_speed * program.duration / gearbox.worm_teeth
-        for corner, (side, rest) in enumerate(zip(sides, layout.rest_radii), 1):
-            if sched.mode is ScheduleMode.CYCLIC_SECTOR:
-                winding = min(driver, sched.sector_arc)
-            else:
-                winding = driver * sched.take_up[corner - 1]
-            reach = gearbox.spool_radius * gearbox.spool_per_driver \
-                * winding / side.routing_gain
-            if program.max_contraction is not None:
-                reach = min(reach, program.max_contraction)
+        gearbox, sched = sim.gearbox, sim.program.schedule
+        driver = sim.program.motor_speed * sim.program.duration \
+            / gearbox.worm_teeth
+        if sched.mode is ScheduleMode.CYCLIC_SECTOR:
+            strokes = ((sched.window_corner(w),
+                        min(sched.window_start(w + 1), driver)
+                        - sched.window_start(w))
+                       for w in range(math.ceil(driver / sched.sector_arc)))
+        else:
+            strokes = ((corner, driver * take_up)
+                       for corner, take_up in enumerate(sched.take_up, 1))
+        cap = sim.program.max_contraction
+        contraction = [0.0] * len(sim.sides)
+        for corner, winding in strokes:
+            reach = contraction[corner - 1] + gearbox.spool_radius \
+                * gearbox.spool_per_driver * winding \
+                / sim.sides[corner - 1].routing_gain
+            if cap is not None:
+                reach = min(reach, cap)
+            rest = sim.layout.rest_radii[corner - 1]
             if reach >= rest:
                 raise ConfigError(
                     f"gearbox.spool_radius_mm {self.gearbox.spool_radius_mm} "
                     f"pulls corner {corner} in by {reach:.3f} mm, which "
                     f"reaches its rest radius {rest} mm")
+            contraction[corner - 1] = sim._released_contraction(reach)
 
     # -- builders (degrees -> radians happens here) ---------------------------
 
@@ -228,12 +222,11 @@ class RunConfig:
             ray_angles=tuple(math.radians(a) for a in m.ray_angles_deg),
             rest_radii=tuple(m.rest_radii_mm))
 
-    def build_sides(self, origami: Optional[bool] = None) -> Tuple[SideAssembly, ...]:
-        attached = self.program.origami if origami is None else origami
+    def build_sides(self) -> Tuple[SideAssembly, ...]:
         sides = []
         for spec, rest in zip(self.sides, self.mass_layout.rest_radii_mm):
             chain = (spec.origami_joint_stiffness,) * spec.origami_joint_count \
-                if attached else ()
+                if self.program.origami else ()
             sides.append(SideAssembly(
                 origami_chain=chain,
                 skeleton_left=spec.skeleton_left,
@@ -251,50 +244,66 @@ class RunConfig:
             layout.rest_radii, layout.ray_angles,
             contact_lever=self.support.contact_lever_mm)
 
-    def build_schedule(self, mode: Optional[str] = None) -> EngagementSchedule:
-        mode = self.program.mode if mode is None else mode
+    def build_schedule(self) -> EngagementSchedule:
+        mode = self.program.mode
         if mode == "cyclic":
             return EngagementSchedule.cyclic(
                 sector_arc=math.radians(self.gearbox.sector_arc_deg),
                 first_corner=self.program.first_corner,
                 corner_count=self.gearbox.corner_count)
         profile = self.program.spindle_profiles.get(mode)
-        if profile is None:
-            raise ConfigError(f"no spindle profile configured for mode {mode!r}")
+        if profile is None or len(profile) != 4:
+            raise ConfigError(
+                f"spindle profile for mode {mode!r} must list "
+                "4 take-up multipliers")
         return EngagementSchedule.spindle(profile)
 
-    def build_program(self, mode: Optional[str] = None,
-                      origami: Optional[bool] = None) -> ActuationProgram:
+    def build_program(self) -> ActuationProgram:
         p = self.program
-        mode = p.mode if mode is None else mode
-        attached = p.origami if origami is None else origami
-        damping_spec = p.damping_with_origami if attached \
+        damping_spec = p.damping_with_origami if p.origami \
             else p.damping_without_origami
-        if mode == "cyclic":
-            max_u = p.max_contraction_mm
-        else:
-            max_u = p.spindle_max_contraction_mm
         return ActuationProgram(
             motor_speed=p.motor_speed_rad_s,
             duration=p.duration_s,
-            schedule=self.build_schedule(mode),
+            schedule=self.build_schedule(),
             release_model=ReleaseModel(p.release_model),
             damping=DampingParams(
                 frequency_hz=damping_spec.frequency_hz,
                 damping_ratio=damping_spec.damping_ratio,
                 amplitude_rad=math.radians(damping_spec.amplitude_deg)),
-            max_contraction=max_u)
+            max_contraction=p.max_contraction_mm if p.mode == "cyclic"
+            else p.spindle_max_contraction_mm)
 
     def build_simulator(self, mode: Optional[str] = None,
                         origami: Optional[bool] = None) -> Simulator:
-        return Simulator(
-            gearbox=self.build_gearbox(),
-            layout=self.build_layout(),
-            sides=self.build_sides(origami),
-            polygon=self.build_polygon(),
-            program=self.build_program(mode, origami),
-            composition_law=CompositionLaw(self.composition_law),
-            initial_roll=math.radians(self.program.initial_roll_deg))
+        """Check this config's run and build its Simulator.
+
+        ``mode`` and ``origami``, when given, replace the program's.  This
+        is where a config is checked: a run that cannot run raises
+        ``ConfigError`` here, before any of it runs.
+        """
+        changes = {key: value for key, value in
+                   (("mode", mode), ("origami", origami)) if value is not None}
+        config = replace(self, program=replace(self.program, **changes))
+        config._check_fields()
+        # builders run the per-field range checks of the domain types
+        try:
+            parts = dict(gearbox=config.build_gearbox(),
+                         layout=config.build_layout(),
+                         sides=config.build_sides(),
+                         polygon=config.build_polygon(),
+                         program=config.build_program())
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        for key, value in asdict(config).items():
+            _check_finite(value, key)
+        sim = Simulator(**parts,
+                        composition_law=CompositionLaw(config.composition_law),
+                        initial_roll=math.radians(config.program.initial_roll_deg))
+        config._check_stroke(sim)
+        return sim
 
     # -- (de)serialization ----------------------------------------------------
 
@@ -346,20 +355,22 @@ def _check_finite(node: object, path: str) -> None:
 
 
 def _parse_config(text: str, source: str) -> RunConfig:
-    """Parse and validate one config document; ``source`` names it in errors."""
+    """Parse one config document; ``source`` names it in errors."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source}: invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: top level must be a JSON object")
-    config = RunConfig.from_dict(data)
-    config.validate()
-    return config
+    return RunConfig.from_dict(data)
 
 
 def load_config(path: str) -> RunConfig:
-    """Load and validate a run configuration from a JSON file."""
+    """Parse a run configuration from a JSON file.
+
+    Loading only parses: a config is checked when its run is built
+    (``RunConfig.build_simulator``), after any overrides.
+    """
     try:
         with open(path) as handle:
             text = handle.read()
@@ -384,7 +395,10 @@ def available_presets() -> List[str]:
 
 
 def load_preset(name: str) -> RunConfig:
-    """Load a named preset, honoring the GEOGAMI_PRESET_DIR override."""
+    """Parse a named preset, honoring the GEOGAMI_PRESET_DIR override.
+
+    Like ``load_config``, this only parses; the run is checked when built.
+    """
     directory = preset_dir()
     if directory is not None:
         path = directory / f"{name}.json"

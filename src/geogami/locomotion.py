@@ -357,14 +357,15 @@ class SimTrace:
     final_state: Optional[BodyState] = None
 
     def absorb(self, events: Sequence[SimEvent]) -> bool:
-        """Append events in order, counting rolls; True once one stalls.
+        """Append events in order, counting net rolls; True once one stalls.
 
+        A backward roll takes back a forward one, as it does the travel.
         Events after a stall are dropped: the run ends there.
         """
         for event in events:
             self.events.append(event)
             if event.kind is EventKind.ROLL_COMPLETE:
-                self.rolls_completed += 1
+                self.rolls_completed += event.direction
             elif event.kind is EventKind.STALL:
                 self.stalled = True
                 return True

@@ -12,12 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geogami import config as geogami_config, svgplot
 from geogami.cli import main
-from geogami.config import (ConfigError, RunConfig, available_presets,
-                            load_config, load_preset, write_atomic)
-from geogami.locomotion import EventKind, SimTrace, Simulator
+from geogami.config import (SIMULATION_MODES, ConfigError, RunConfig,
+                            available_presets, load_config, load_preset,
+                            write_atomic)
+from geogami.kinematics import RadiusInversionError
+from geogami.locomotion import (EventKind, ReleaseModel, SimTrace,
+                                SimulationError, Simulator)
 
 
 def write_config(tmp_path, config, name="run.json"):
@@ -98,7 +102,7 @@ class TestConfig:
         path.write_text(json.dumps(data))
         assert duration in path.read_text()
         with pytest.raises(ConfigError, match="duration must be finite"):
-            load_config(str(path))
+            load_config(str(path)).validate()
 
     @pytest.mark.parametrize("field, value", [
         ("support.contact_lever_mm", math.nan),
@@ -204,7 +208,7 @@ class TestConfig:
         from geogami.compliance import side_equivalent_stiffness
         assert side_equivalent_stiffness(sides[0]) == pytest.approx(
             0.0727, abs=5e-4)
-        bare = config.build_sides(origami=False)
+        bare = config.build_simulator(origami=False).sides
         assert bare[0].origami_chain == ()
 
     def test_composition_law_switch_changes_cable_stiffness(self):
@@ -478,6 +482,19 @@ class TestSweepCli:
         assert [line.split(",")[:2] for line in lines] == [
             ["40", "4"], ["43", "4"], ["50", "3"]]
 
+    def test_rolls_are_net_of_backward_rolls(self, tmp_path, capsys):
+        # first corners 1 and 2 roll back once before rolling forward
+        assert main(["sweep", "--preset", "paper-table1",
+                     "--param", "program.first_corner", "--values", "1,2,3,4",
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        rows = [line.split(",") for line in lines]
+        assert [int(row[1]) for row in rows] == [1, 2, 3, 4]
+        # one cyclic roll travels 148.283 mm
+        for _, rolls, travel, _, _ in rows:
+            assert float(travel) / int(rolls) == pytest.approx(148.283,
+                                                               abs=1e-3)
+
     @pytest.mark.parametrize("values", ["5.5", "5,5.5"])
     def test_decimal_field_written_whole_takes_fractions(self, tmp_path,
                                                          capsys, values):
@@ -586,6 +603,9 @@ class TestInputChecks:
         ["sweep", "--param", "gearbox.spool_radius_mm", "--range", "0:inf:1"],
         ["sweep", "--param", "gearbox.spool_radius_mm", "--range", "nan:9:1"],
         ["sweep", "--param", "program.first_corner", "--values", "2.5"],
+        # --duration-s would replace every swept duration
+        ["sweep", "--param", "program.duration_s", "--values", "5,20,36.1",
+         "--duration-s", "36.1"],
     ])
     def test_bad_input_gives_one_error_line(self, tmp_path, capsys, argv):
         code = main(argv + ["--preset", "paper-table1",
@@ -648,6 +668,95 @@ class TestStrokeCheck:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
+
+    def spindle10_config(self):
+        # corner 1 winds at 1.1 * 120/43 mm/s, and the 200 mm cap does not
+        # stop it: the file's own 36.1 s program pulls it in by 110.819 mm
+        return self.with_program(load_preset("paper-table1"), mode="spindle10",
+                                 spindle_max_contraction_mm=200.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--duration-s", "5"],
+        ["simulate", "--mode", "cyclic"],
+        ["sweep", "--duration-s", "5", "--param", "gearbox.spool_radius_mm",
+         "--values", "8"],
+    ], ids=" ".join)
+    def test_check_sees_the_overridden_run(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, self.spindle10_config())
+        assert main(argv + ["--config", path, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_files_own_infeasible_run_is_refused(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_run(self, *args, **kwargs):
+            raise AssertionError("the simulation ran")
+
+        monkeypatch.setattr(Simulator, "run", no_run)
+        path = write_config(tmp_path, self.spindle10_config())
+        out_dir = tmp_path / "out"
+        code = main(["simulate", "--config", path, "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: gearbox.spool_radius_mm 8.0 pulls corner 1 in by "
+            "110.819 mm, which reaches its rest radius 94.4 mm\n")
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    def test_build_simulator_checks_the_mode_it_builds(self):
+        config = self.with_program(self.spindle10_config(), mode="cyclic")
+        config.validate()
+        with pytest.raises(ConfigError,
+                           match=r"corner 1 in by 110\.819 mm"):
+            config.build_simulator(mode="spindle10")
+
+    def with_spool(self, config, spool):
+        return dataclasses.replace(config, gearbox=dataclasses.replace(
+            config.gearbox, spool_radius_mm=spool))
+
+    @pytest.mark.parametrize("spool, duration, reach", [
+        (7.0, 250.0, "95.560"), (7.0, 300.0, "95.560"), (5.0, 1000.0, "94.468"),
+    ])
+    def test_carried_contraction_counts(self, spool, duration, reach):
+        # a return-angle-limited release keeps 83.5% of a corner's
+        # contraction into its next window; one window is 54.978 mm at 7 mm
+        config = self.with_program(
+            self.with_spool(load_preset("paper-table1"), spool),
+            duration_s=duration, release_model="return_angle_limited")
+        with pytest.raises(ConfigError, match=rf"corner 4 in by {reach} mm"):
+            config.validate()
+        # the engine, given the run, inverts in that same window
+        sim = self.with_program(config, release_model="instant_return") \
+            .build_simulator()
+        sim.program = dataclasses.replace(
+            sim.program, release_model=ReleaseModel.RETURN_ANGLE_LIMITED)
+        with pytest.raises(RadiusInversionError) as exc:
+            sim.timeline()
+        assert float(str(exc.value).split()[1]) == pytest.approx(
+            float(reach), abs=5e-4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spool=st.floats(5.0, 10.0), duration=st.floats(0.0, 400.0),
+           release=st.sampled_from(("instant_return", "return_angle_limited")),
+           mode=st.sampled_from(SIMULATION_MODES))
+    @example(spool=7.0, duration=250.0, release="return_angle_limited",
+             mode="cyclic")
+    @example(spool=7.0, duration=200.0, release="return_angle_limited",
+             mode="cyclic")
+    @example(spool=6.0, duration=300.0, release="return_angle_limited",
+             mode="cyclic")
+    def test_accepted_run_never_inverts(self, spool, duration, release, mode):
+        config = self.with_program(
+            self.with_spool(load_preset("paper-table1"), spool),
+            duration_s=duration, release_model=release, mode=mode)
+        try:
+            sim = config.build_simulator()
+        except ConfigError:
+            return
+        try:
+            sim.timeline()
+        except SimulationError:
+            pass   # "keeps tipping" is another failure, not checked here
 
     def test_simulate_overrides_are_validated(self, tmp_path, capsys,
                                               monkeypatch):
