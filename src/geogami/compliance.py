@@ -168,17 +168,6 @@ class JointModel:
             "note": self.note,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "JointModel":
-        return cls(
-            family=JointFamily(data["family"]),
-            force_coeffs=tuple(data["force_coeffs"]),
-            return_coeffs=tuple(data["return_coeffs"]),
-            valid_range=tuple(data["valid_range_rad"]),
-            mean_stiffness=float(data["mean_stiffness_n_per_rad"]),
-            note=data.get("note", ""),
-        )
-
 
 def _check_range(model: JointModel, theta: float) -> None:
     lo, hi = model.valid_range

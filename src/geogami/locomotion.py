@@ -32,8 +32,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import index
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO,
-                    Tuple)
+from typing import TYPE_CHECKING, List, Optional, Sequence, TextIO, Tuple
 
 from .compliance import (CompositionLaw, SideAssembly,
                          cable_series_stiffness, default_joint_model,
@@ -240,24 +239,20 @@ def ground_pivots(polygon: SupportPolygon,
 
 
 def tipping_check(layout: MassLayout, state: BodyState,
-                  polygon: SupportPolygon,
-                  pivots: Optional[Tuple[float, float]] = None
-                  ) -> TippingReport:
+                  polygon: SupportPolygon) -> TippingReport:
     """Compare the world COM against the ground-contact pivot.
 
     Tipping iff the COM x strictly exceeds the pivot x (plus the contact
     lever) in the roll direction; a COM exactly over the pivot is stable.
     All x values are taken relative to the body center, which cancels the
-    common R*phi translation.  A caller that already holds the state's
-    ``ground_pivots`` may pass them in.
+    common R*phi translation.
     """
     c, s = math.cos(state.roll_angle), math.sin(state.roll_angle)
     dbx, dby = mass_offset_xy(layout, state.radii)
     com_x = c * dbx - s * dby
     if not math.isfinite(com_x):
         raise ValueError("degenerate state: COM is not finite")
-    fwd_x, rear_x = ground_pivots(
-        polygon, state.roll_angle) if pivots is None else pivots
+    fwd_x, rear_x = ground_pivots(polygon, state.roll_angle)
     lever = polygon.contact_lever
     if com_x > fwd_x + lever:
         return TippingReport(True, 1, com_x, fwd_x, rear_x)
@@ -431,8 +426,6 @@ class Simulator:
         if sched.mode is ScheduleMode.FIXED_SPINDLE:
             self._spindle_corners = tuple(
                 c for c in range(1, 5) if sched.take_up[c - 1] > 0)
-        # the support polygon is fixed: ground pivots by roll angle
-        self._pivots: Dict[float, Tuple[float, float]] = {}
 
     # -- state helpers ----------------------------------------------------
 
@@ -501,16 +494,8 @@ class Simulator:
 
     # -- event machinery ---------------------------------------------------
 
-    def _ground_pivots(self, roll_angle: float) -> Tuple[float, float]:
-        pivots = self._pivots.get(roll_angle)
-        if pivots is None:
-            pivots = self._pivots[roll_angle] = ground_pivots(
-                self.polygon, roll_angle)
-        return pivots
-
     def _tip_check(self, state: BodyState) -> TippingReport:
-        return tipping_check(self.layout, state, self.polygon,
-                             self._ground_pivots(state.roll_angle))
+        return tipping_check(self.layout, state, self.polygon)
 
     def detect_stall(self, state: BodyState) -> Optional[SimEvent]:
         """Tripod-lock check: engaged set fully saturated and still stable.
@@ -658,10 +643,9 @@ class Simulator:
 
     # -- full run -----------------------------------------------------------
 
-    def _start(self, initial_state: Optional[BodyState]
-               ) -> Tuple[SimTrace, BodyState]:
-        """Open a trace with the initial engagements."""
-        state = initial_state if initial_state is not None else self.initial_state()
+    def _start(self) -> Tuple[SimTrace, BodyState]:
+        """The ``initial_state()``, and a trace opened with its engagements."""
+        state = self.initial_state()
         trace = SimTrace(events=[
             SimEvent(EventKind.ENGAGEMENT_START, state.time, state,
                      corner=corner)
@@ -676,24 +660,24 @@ class Simulator:
                                                   start.roll_angle)
         return trace
 
-    def timeline(self, initial_state: Optional[BodyState] = None) -> SimTrace:
+    def timeline(self) -> SimTrace:
         """Events and summary of the whole program, with no sampled records.
 
-        ``step`` already walks every window boundary, saturation and tip
-        inside an interval, so one step over the program duration finds
-        the rolls, travel and stall that ``run`` reports from its ``dt``
-        grid, at a cost set by the number of events.
+        The run starts at ``initial_state()``.  ``step`` already walks every
+        window boundary, saturation and tip inside an interval, so one step
+        over the program duration finds the rolls, travel and stall that
+        ``run`` reports from its ``dt`` grid, at a cost set by the number of
+        events.
         """
-        trace, start = self._start(initial_state)
+        trace, start = self._start()
         state = start
         if self.program.duration > 0:
             state, events = self.step(start, self.program.duration)
             trace.absorb(events)
         return self._finish(trace, start, state)
 
-    def run(self, dt: float = 1e-3,
-            initial_state: Optional[BodyState] = None) -> SimTrace:
-        """Run the whole program, producing a deterministic trace.
+    def run(self, dt: float = 1e-3) -> SimTrace:
+        """Run the whole program from ``initial_state()``: a deterministic trace.
 
         Equal to a fold of ``step`` over the ``dt`` grid, without the
         repeated tip check at each step's start: every state an advance
@@ -705,22 +689,19 @@ class Simulator:
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
         duration = self.program.duration
-        trace, start = self._start(initial_state)
+        trace, start = self._start()
         blocks: List[np.ndarray] = []
-        roll_times: List[Tuple[float, int]] = []
 
         def record(st: BodyState, event: str = "") -> None:
             blocks.append(self._columns(st, np.array([st.time]),
                                         np.array([st.contractions]),
-                                        roll_times))
+                                        trace.events))
             trace.tokens.append(event)
 
         def absorb(events: List[SimEvent]) -> bool:
             first = len(trace.events)
             stalled = trace.absorb(events)
             for event in trace.events[first:]:
-                if event.kind is EventKind.ROLL_COMPLETE:
-                    roll_times.append((event.time, event.direction or 1))
                 record(event.state, event.token())
             return stalled
 
@@ -731,24 +712,23 @@ class Simulator:
         state = start
         n_steps = int(math.ceil(duration / dt - 1e-12)) if duration > 0 else 0
         if n_steps:
-            self._check_finite(start)
             events: List[SimEvent] = []
             state = self._resolve_tips(start, events)
             absorb(events)
         k = 0
         while k < n_steps:
             steps = np.arange(k + 1, min(k + _SAMPLE_STEPS, n_steps) + 1)
-            grid = start.time + np.minimum(steps * dt, duration)
+            grid = np.minimum(steps * dt, duration)
             times, u = self._sample(state, grid)
             if len(times):
-                blocks.append(self._columns(state, times, u, roll_times))
+                blocks.append(self._columns(state, times, u, trace.events))
                 trace.tokens.extend([""] * len(times))
                 state = self._with_contractions(state, u[-1].tolist(),
                                                 float(times[-1]))
                 k += len(times)
                 if len(times) == len(grid):
                     continue
-            t_next = start.time + min((k + 1) * dt, duration)
+            t_next = min((k + 1) * dt, duration)
             step_dt = t_next - state.time
             if step_dt <= 0:
                 raise ValueError("dt must be > 0")
@@ -774,17 +754,16 @@ class Simulator:
         """
         import numpy as np
         engaged, boundary = self._engagement(state.time)
-        # run ends a step at state.time + (grid[k] - state.time), so step
-        # k + 1 starts at grid[k] only while the earlier ends hit the grid
+        # run ends a step at state.time + (grid[k] - state.time), which is
+        # grid[k]: state.time is 0 or a grid point, and consecutive points
+        # of a grid from 0 lie within a factor 2, so the difference is exact
         starts = np.concatenate(([state.time], grid[:-1]))
-        ends = starts + (grid - starts)
-        quiet = (ends > starts) & (ends < boundary)
-        quiet[1:] &= np.logical_and.accumulate(ends[:-1] == grid[:-1])
+        quiet = (grid > starts) & (grid < boundary)
         u = np.tile(state.contractions, (len(grid), 1))
         cap = self.program.max_contraction
         for corner in engaged:
             rate = self._rates[corner - 1]
-            column = rate * (ends - starts)
+            column = rate * (grid - starts)
             column[0] += state.contractions[corner - 1]
             column = np.cumsum(column)
             if cap is not None:
@@ -794,26 +773,27 @@ class Simulator:
                 head = cap - np.concatenate(
                     ([state.contractions[corner - 1]], column[:-1]))
                 if rate > 0:
-                    quiet &= (head <= 0) | (ends < starts + head / rate)
+                    quiet &= (head <= 0) | (grid < starts + head / rate)
             u[:, corner - 1] = column
         # radii raises RadiusInversionError there; leave that to _advance
         quiet &= (u < self.layout.rest_radii).all(axis=1)
         dbx, dby = mass_offset_xy(self.layout, (self.layout.rest_radii - u).T)
         phi = state.roll_angle
         com_x = math.cos(phi) * dbx - math.sin(phi) * dby
-        fwd_x, rear_x = self._ground_pivots(phi)
+        fwd_x, rear_x = ground_pivots(self.polygon, phi)
         lever = self.polygon.contact_lever
         quiet &= (com_x <= fwd_x + lever) & (com_x >= rear_x - lever)
         n = len(grid) if quiet.all() else int(np.argmin(quiet))
-        return ends[:n], u[:n]
+        return grid[:n], u[:n]
 
     def _columns(self, state: BodyState, times: np.ndarray, u: np.ndarray,
-                 roll_times: Sequence[Tuple[float, int]]) -> np.ndarray:
+                 events: Sequence[SimEvent]) -> np.ndarray:
         """Trace columns of states with ``state``'s roll angle.
 
         Row ``k`` holds the state at ``times[k]`` with contractions
         ``u[k]``, computed as ``world_com`` does, with the ring-down of
-        every roll in ``roll_times`` added to the roll angle.
+        every roll in ``events`` (the run so far, from ``initial_state()``)
+        added to the roll angle.
         """
         import numpy as np
         program = self.program
@@ -821,8 +801,13 @@ class Simulator:
         c, s = math.cos(phi), math.sin(phi)
         dbx, dby = mass_offset_xy(self.layout, (self.layout.rest_radii - u).T)
         roll = np.full(len(times), phi)
-        for t_roll, direction in roll_times:
-            roll += direction * program.damping.overlay(times - t_roll)
+        for event in events:
+            # an event row recorded before a roll of its own batch gets that
+            # roll's overlay at dt <= 0, which is exactly 0.0; adding it keeps
+            # the angle, or turns -0.0 into 0.0, and both print as zero
+            if event.kind is EventKind.ROLL_COMPLETE:
+                roll += event.direction * program.damping.overlay(
+                    times - event.time)
         gains = [side.routing_gain for side in self.sides]
         return np.column_stack((
             times, program.motor_speed * times, roll,

@@ -565,18 +565,17 @@ class TestTraceCsvFormat:
         assert buffer.getvalue() == TRACE_CSV_HEADER + "\n" + expected
 
 
-def step_fold(sim, dt, start=None):
+def step_fold(sim, dt):
     """A plain fold of public ``step`` over ``run``'s dt grid.
 
     Returns the events and the state after each step, up to the step that
     stalls.
     """
-    state = start or sim.initial_state()
-    t0 = state.time
+    state = sim.initial_state()
     duration = sim.program.duration
     events, states = [], []
     for k in range(int(math.ceil(duration / dt - 1e-12))):
-        t_next = t0 + min((k + 1) * dt, duration)
+        t_next = min((k + 1) * dt, duration)
         state, new = sim.step(state, t_next - state.time)
         events.extend(new)
         states.append(state)
@@ -623,9 +622,9 @@ def record_of(sim, state, rolls):
         tuple(k * x for k, x in zip(sim.cable_stiffnesses, u)), "")
 
 
-def assert_grid_records_are_step_fold(sim, dt, start=None):
-    trace = sim.run(dt=dt, initial_state=start)
-    events, states = step_fold(sim, dt, start)
+def assert_grid_records_are_step_fold(sim, dt):
+    trace = sim.run(dt=dt)
+    events, states = step_fold(sim, dt)
     if trace.stalled:
         states.pop()  # run stops at the stall without a grid record
     rolls = [e for e in events if e.kind is EventKind.ROLL_COMPLETE]
@@ -663,14 +662,6 @@ class TestRunMatchesStepFold:
             ("engagement_end:4", 4.0), ("engagement_start:1", 4.0),
             ("engagement_end:1", 8.0), ("engagement_start:2", 8.0)]
         assert_grid_records_are_step_fold(sim, 0.25)
-
-    def test_grid_records_from_a_negative_start_time(self):
-        # a step ends at state.time + (t_k - state.time); where the grid
-        # crosses zero that sum can miss t_k, and the next step starts there
-        sim = simulator(duration=1.0)
-        start = dataclasses.replace(sim.initial_state(),
-                                    time=-7.80774640475351e-05)
-        assert_grid_records_are_step_fold(sim, 1e-3, start)
 
     def test_stroke_reaching_the_rest_radius_raises(self):
         # four equal take-ups keep the COM centred, so nothing tips, and
