@@ -14,18 +14,22 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from .compliance import CompositionLaw, SideAssembly
 from .kinematics import MassLayout
 from .locomotion import (ActuationProgram, DampingParams, ReleaseModel,
                          Simulator, SupportPolygon)
 from .transmission import EngagementSchedule, GearboxConfig, ScheduleMode
+
+if TYPE_CHECKING:
+    from importlib.abc import Traversable
 
 SCHEMA_VERSION = 1
 PRESET_ENV_VAR = "GEOGAMI_PRESET_DIR"
@@ -122,7 +126,8 @@ class RunConfig:
         self.build_simulator()
 
     def _check_fields(self) -> None:
-        """The checks that need no builder: schema, types, counts, names."""
+        """The checks that need no builder: types, schema, counts, names."""
+        _check_types(self, "")
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"unsupported schema_version {self.schema_version}, "
@@ -130,18 +135,6 @@ class RunConfig:
         if self.composition_law not in ("A", "B"):
             raise ConfigError(
                 f"composition_law must be 'A' or 'B', got {self.composition_law!r}")
-        # JSON admits 2.0 or true where an ``int`` field is declared; the
-        # builders index and repeat with these, so only an int will do.
-        # ``from __future__ import annotations`` makes f.type the string
-        # "int"; an Optional[int] field would need its own check
-        for path, spec in (("gearbox", self.gearbox), ("program", self.program),
-                           *((f"sides.{k}", s) for k, s in enumerate(self.sides))):
-            for f in fields(spec):
-                value = getattr(spec, f.name)
-                if f.type == "int" and (isinstance(value, bool)
-                                        or not isinstance(value, int)):
-                    raise ConfigError(
-                        f"{path}.{f.name} must be an integer, got {value!r}")
         if self.gearbox.corner_count != 4:
             raise ConfigError("gearbox.corner_count must be 4")
         if len(self.sides) != 4:
@@ -174,22 +167,31 @@ class RunConfig:
         cyclic drive winds one corner per window.  The saturation cap
         stops a stroke, and at each window's end the corner keeps what
         the engine's release leaves, so contraction a return-angle-limited
-        release carries into the corner's next window counts too.
+        release carries into the corner's next window counts too.  Every
+        window but the last winds the whole sector arc, so the walk ends
+        once a cycle of windows leaves the carried contractions as it found
+        them: each later full window repeats a reach already checked, and
+        the last, partial one reaches less.
         """
         gearbox, sched = sim.gearbox, sim.program.schedule
         driver = sim.program.motor_speed * sim.program.duration \
             / gearbox.worm_teeth
         if sched.mode is ScheduleMode.CYCLIC_SECTOR:
+            full, last = divmod(driver, sched.sector_arc)
             strokes = ((sched.window_corner(w),
-                        min(sched.window_start(w + 1), driver)
-                        - sched.window_start(w))
-                       for w in range(math.ceil(driver / sched.sector_arc)))
+                        sched.sector_arc if w < full else last)
+                       for w in range(int(full) + (last > 0)))
         else:
             strokes = ((corner, driver * take_up)
                        for corner, take_up in enumerate(sched.take_up, 1))
         cap = sim.program.max_contraction
         contraction = [0.0] * len(sim.sides)
-        for corner, winding in strokes:
+        cycle_start = None
+        for w, (corner, winding) in enumerate(strokes):
+            if w % sched.corner_count == 0:
+                if contraction == cycle_start:
+                    return
+                cycle_start = list(contraction)
             reach = contraction[corner - 1] + gearbox.spool_radius \
                 * gearbox.spool_per_driver * winding \
                 / sim.sides[corner - 1].routing_gain
@@ -314,12 +316,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """Parse a config document; ``build_simulator`` checks the values."""
         try:
             gearbox = GearboxSpec(**data.get("gearbox", {}))
             layout_raw = dict(data.get("mass_layout", {}))
             for key in ("corner_masses_kg", "ray_angles_deg", "rest_radii_mm"):
                 if key in layout_raw:
-                    layout_raw[key] = tuple(layout_raw[key])
+                    layout_raw[key] = _tuple(layout_raw[key])
             mass_layout = MassLayoutSpec(**layout_raw)
             sides = tuple(SideSpec(**s) for s in data.get(
                 "sides", [{}, {}, {}, {}]))
@@ -328,9 +331,12 @@ class RunConfig:
                 if key in program_raw:
                     program_raw[key] = DampingSpec(**program_raw[key])
             if "spindle_profiles" in program_raw:
+                profiles = program_raw["spindle_profiles"]
+                if not isinstance(profiles, dict):
+                    raise ConfigError("program.spindle_profiles must be an "
+                                      f"object, got {profiles!r}")
                 program_raw["spindle_profiles"] = {
-                    name: tuple(vals)
-                    for name, vals in program_raw["spindle_profiles"].items()}
+                    name: _tuple(vals) for name, vals in profiles.items()}
             program = ProgramSpec(**program_raw)
             support = SupportSpec(**data.get("support", {}))
             return cls(
@@ -341,6 +347,59 @@ class RunConfig:
                 schema_version=data.get("schema_version", SCHEMA_VERSION))
         except TypeError as exc:
             raise ConfigError(f"unknown or missing config field: {exc}") from exc
+
+
+def _tuple(value: object) -> object:
+    """A JSON list as the tuple a spec holds; ``_check_types`` rejects the rest."""
+    return tuple(value) if isinstance(value, list) else value
+
+
+# the Python types a JSON value of each declared scalar field type may have,
+# and what the field must be; ``bool`` is an ``int`` but only fits "bool"
+_FIELD_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "Optional[float]": ((int, float, type(None)), "a number or null"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+}
+
+
+def _check_types(spec: object, path: str) -> None:
+    """Reject a field whose value is not of its declared type, by dotted field.
+
+    JSON admits a string, a bool or a list anywhere; the builders would
+    fail on one with a traceback, or read ``"yes"`` as true.  Field types
+    are strings here (``from __future__ import annotations``).
+    """
+    for f in fields(spec):
+        value, name = getattr(spec, f.name), path + f.name
+        if is_dataclass(value):
+            _check_types(value, name + ".")
+        elif f.name == "sides":
+            for k, side in enumerate(value):
+                _check_types(side, f"{name}.{k}.")
+        elif f.name == "spindle_profiles":
+            for mode, profile in value.items():
+                _check_value(profile, "Tuple[float, ...]", f"{name}.{mode}")
+        else:
+            _check_value(value, f.type, name)
+
+
+def _check_value(value: object, declared: str, path: str) -> None:
+    if declared == "Tuple[float, ...]":
+        if not isinstance(value, (tuple, list)):
+            raise ConfigError(f"{path} must be a list of numbers, got {value!r}")
+        for k, item in enumerate(value):
+            _check_value(item, "float", f"{path}.{k}")
+        return
+    types, kind = _FIELD_TYPES[declared]
+    if not isinstance(value, types) or (isinstance(value, bool)
+                                        and declared != "bool"):
+        raise ConfigError(f"{path} must be {kind}, got {value!r}")
+    # JSON admits an int of any size; the builders turn numbers into floats
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{path} must be finite, got {value}")
 
 
 def _check_finite(node: object, path: str) -> None:
@@ -379,18 +438,18 @@ def load_config(path: str) -> RunConfig:
     return _parse_config(text, path)
 
 
-def preset_dir() -> Optional[Path]:
-    """Directory holding preset configs when overridden by the environment."""
+def _preset_root() -> Traversable:
+    """Where presets live: ``GEOGAMI_PRESET_DIR`` if set, else the package."""
     override = os.environ.get(PRESET_ENV_VAR)
-    return Path(override) if override else None
+    return Path(override) if override \
+        else resources.files("geogami").joinpath("presets")
 
 
 def available_presets() -> List[str]:
-    directory = preset_dir()
-    if directory is not None:
-        return sorted(p.stem for p in directory.glob("*.json"))
-    package_dir = resources.files("geogami").joinpath("presets")
-    return sorted(p.name[:-5] for p in package_dir.iterdir()
+    root = _preset_root()
+    if not root.is_dir():
+        return []
+    return sorted(p.name[:-5] for p in root.iterdir()
                   if p.name.endswith(".json"))
 
 
@@ -399,21 +458,13 @@ def load_preset(name: str) -> RunConfig:
 
     Like ``load_config``, this only parses; the run is checked when built.
     """
-    directory = preset_dir()
-    if directory is not None:
-        path = directory / f"{name}.json"
-        if not path.exists():
-            raise ConfigError(
-                f"preset {name!r} not found in {directory} "
-                f"(available: {', '.join(available_presets()) or 'none'})")
-        return load_config(str(path))
-    package_dir = resources.files("geogami").joinpath("presets")
-    candidate = package_dir.joinpath(f"{name}.json")
-    if not candidate.is_file():
+    root = _preset_root()
+    path = root.joinpath(f"{name}.json")
+    if not path.is_file():
         raise ConfigError(
-            f"unknown preset {name!r} "
-            f"(available: {', '.join(available_presets())})")
-    return _parse_config(candidate.read_text(), str(candidate))
+            f"unknown preset {name!r}: not found in {root} "
+            f"(available: {', '.join(available_presets()) or 'none'})")
+    return _parse_config(path.read_text(), str(path))
 
 
 @contextmanager

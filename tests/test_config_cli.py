@@ -125,31 +125,50 @@ class TestConfig:
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--duration-s", "1"],
-        ["sweep", "--param", "gearbox.spool_radius_mm", "--values", "8"],
+        ["sweep", "--param", "program.motor_speed_rad_s", "--values", "30"],
     ], ids=lambda argv: argv[0])
-    @pytest.mark.parametrize("field, value", [
-        ("program.first_corner", 2.0),
-        ("gearbox.corner_count", 4.0),
-        ("sides.0.origami_joint_count", 3.0),
-        ("gearbox.worm_teeth", 43.0),
-        ("program.first_corner", True),
-    ])
-    def test_integer_field_from_file_must_be_int(self, tmp_path, capsys,
-                                                 command, field, value):
+    # ``error`` follows the field name in the one error line
+    @pytest.mark.parametrize("field, value, error", [
+        ("program.first_corner", 2.0, " must be an integer, got 2.0"),
+        ("gearbox.corner_count", 4.0, " must be an integer, got 4.0"),
+        ("sides.0.origami_joint_count", 3.0, " must be an integer, got 3.0"),
+        ("gearbox.worm_teeth", 43.0, " must be an integer, got 43.0"),
+        ("program.first_corner", True, " must be an integer, got True"),
+        ("schema_version", "1", " must be an integer, got '1'"),
+        ("gearbox.spool_radius_mm", "8", " must be a number, got '8'"),
+        ("gearbox.spool_radius_mm", True, " must be a number, got True"),
+        ("support.contact_lever_mm", "1", " must be a number, got '1'"),
+        ("program.initial_roll_deg", "x", " must be a number, got 'x'"),
+        ("sides.0.cable_stiffness", "x", " must be a number or null, got 'x'"),
+        ("program.max_contraction_mm", "10",
+         " must be a number or null, got '10'"),
+        ("program.origami", "yes", " must be true or false, got 'yes'"),
+        ("description", 5, " must be a string, got 5"),
+        ("mass_layout.corner_masses_kg", "abcd",
+         " must be a list of numbers, got 'abcd'"),
+        ("mass_layout.rest_radii_mm", [[1], [2], [3], [4]],
+         ".0 must be a number, got [1]"),
+        ("program.spindle_profiles", [], " must be an object, got []"),
+        ("program.spindle_profiles", {"pyramid": [1, "x", 1, 1]},
+         ".pyramid.1 must be a number, got 'x'"),
+        ("gearbox.worm_teeth", 10 ** 400, f" must be finite, got {10 ** 400}"),
+    ], ids=lambda v: None if len(str(v)) <= 40 else f"{str(v)[:12]}...")
+    def test_wrong_type_from_file_named_by_field(self, tmp_path, capsys,
+                                                 command, field, value,
+                                                 error):
         data = load_preset("paper-table1").to_dict()
         *parents, leaf = field.split(".")
         node = data
         for part in parents:
             node = node[int(part) if isinstance(node, list) else part]
         node[leaf] = value
-        path = tmp_path / "float.json"
+        path = tmp_path / "wrong.json"
         path.write_text(json.dumps(data))
         out_dir = tmp_path / "out"
         code = main(command + ["--config", str(path), "--out", str(out_dir)])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err == f"error: {field} must be an integer, " \
-                               f"got {value!r}\n"
+        assert captured.err == f"error: {field}{error}\n"
         assert captured.out == ""
         assert not out_dir.exists()
 
@@ -734,6 +753,23 @@ class TestStrokeCheck:
             sim.timeline()
         assert float(str(exc.value).split()[1]) == pytest.approx(
             float(reach), abs=5e-4)
+
+    @pytest.mark.parametrize("release",
+                             ("instant_return", "return_angle_limited"))
+    def test_stroke_walk_ends_once_a_cycle_repeats(self, monkeypatch,
+                                                   release):
+        # 1e6 s is 1.1e5 windows; a 4 mm spool is accepted with either release
+        calls = []
+        released = Simulator._released_contraction
+
+        def counted(self, contraction):
+            calls.append(contraction)
+            return released(self, contraction)
+
+        monkeypatch.setattr(Simulator, "_released_contraction", counted)
+        self.with_program(self.with_spool(load_preset("paper-table1"), 4.0),
+                          duration_s=1e6, release_model=release).validate()
+        assert 0 < len(calls) < 1000
 
     @settings(max_examples=100, deadline=None)
     @given(spool=st.floats(5.0, 10.0), duration=st.floats(0.0, 400.0),
