@@ -34,6 +34,10 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 PRESET_ENV_VAR = "GEOGAMI_PRESET_DIR"
 SIMULATION_MODES = ("cyclic", "pyramid", "spindle5", "spindle10")
+# the paper's origami chain has five joints; a side's chain is built as one
+# stiffness per joint, so the count is capped at twenty times that (10**6
+# would build a million-entry chain per side, 10**19 none at all)
+MAX_ORIGAMI_JOINTS = 100
 
 
 class ConfigError(ValueError):
@@ -139,6 +143,11 @@ class RunConfig:
             raise ConfigError("gearbox.corner_count must be 4")
         if len(self.sides) != 4:
             raise ConfigError(f"need 4 sides, got {len(self.sides)}")
+        for k, side in enumerate(self.sides):
+            if not 0 <= side.origami_joint_count <= MAX_ORIGAMI_JOINTS:
+                raise ConfigError(
+                    f"sides.{k}.origami_joint_count must be between 0 and "
+                    f"{MAX_ORIGAMI_JOINTS}, got {side.origami_joint_count}")
         layout = self.mass_layout
         if len(layout.corner_masses_kg) != 4 or len(layout.ray_angles_deg) != 4 \
                 or len(layout.rest_radii_mm) != 4:
@@ -319,22 +328,20 @@ class RunConfig:
         """Parse a config document; ``build_simulator`` checks the values."""
         try:
             gearbox = GearboxSpec(**data.get("gearbox", {}))
-            layout_raw = dict(data.get("mass_layout", {}))
+            layout_raw = _object(data.get("mass_layout", {}), "mass_layout")
             for key in ("corner_masses_kg", "ray_angles_deg", "rest_radii_mm"):
                 if key in layout_raw:
                     layout_raw[key] = _tuple(layout_raw[key])
             mass_layout = MassLayoutSpec(**layout_raw)
             sides = tuple(SideSpec(**s) for s in data.get(
                 "sides", [{}, {}, {}, {}]))
-            program_raw = dict(data.get("program", {}))
+            program_raw = _object(data.get("program", {}), "program")
             for key in ("damping_with_origami", "damping_without_origami"):
                 if key in program_raw:
                     program_raw[key] = DampingSpec(**program_raw[key])
             if "spindle_profiles" in program_raw:
-                profiles = program_raw["spindle_profiles"]
-                if not isinstance(profiles, dict):
-                    raise ConfigError("program.spindle_profiles must be an "
-                                      f"object, got {profiles!r}")
+                profiles = _object(program_raw["spindle_profiles"],
+                                   "program.spindle_profiles")
                 program_raw["spindle_profiles"] = {
                     name: _tuple(vals) for name, vals in profiles.items()}
             program = ProgramSpec(**program_raw)
@@ -347,6 +354,13 @@ class RunConfig:
                 schema_version=data.get("schema_version", SCHEMA_VERSION))
         except TypeError as exc:
             raise ConfigError(f"unknown or missing config field: {exc}") from exc
+
+
+def _object(value: object, path: str) -> dict:
+    """A section JSON must give as an object; ``dict`` would take a list."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object, got {value!r}")
+    return dict(value)
 
 
 def _tuple(value: object) -> object:

@@ -294,7 +294,7 @@ TRACE_CSV_HEADER = ("t_s,theta_m_rad,phi_rad,xG_mm,yG_mm,"
 # decimals of the numeric CSV columns, in TraceRecord field order: times
 # and roll angles to 9, everything else to 6
 _CSV_DECIMALS = (9, 6, 9) + (6,) * 10
-_CSV_ROW = "".join(f"%.{d}f," for d in _CSV_DECIMALS) + "%s\n"
+_CSV_FIELDS = tuple(f"%.{d}f," for d in _CSV_DECIMALS)
 
 
 def _zero_bound(decimals: int) -> float:
@@ -379,10 +379,17 @@ class SimTrace:
             last = first + _CSV_BATCH
             block = self.columns[first:last]
             block = np.where(np.abs(block) <= _ZERO_BOUNDS, 0.0, block)
-            stream.write("".join(
-                _CSV_ROW % (*values, token)
-                for values, token in zip(block.tolist(),
-                                         self.tokens[first:last])))
+            # a column with one value in the batch is formatted once, into
+            # the row format: equal floats print equal text (zeros carry no
+            # sign here), nan equals nothing, and no number prints a "%"
+            same = (block == block[0]).all(axis=0)
+            row = "".join(fmt % value if fixed else fmt for fmt, fixed, value
+                          in zip(_CSV_FIELDS, same.tolist(), block[0].tolist()))
+            row += "%s\n"
+            # zipping the varying columns with the tokens gives each row's
+            # arguments as one tuple, with no Python-level loop per row
+            stream.write("".join(map(row.__mod__, zip(
+                *block[:, ~same].T.tolist(), self.tokens[first:last]))))
 
     def summary_line(self) -> str:
         stall = "yes" if self.stalled else "no"

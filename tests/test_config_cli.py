@@ -149,6 +149,11 @@ class TestConfig:
         ("mass_layout.rest_radii_mm", [[1], [2], [3], [4]],
          ".0 must be a number, got [1]"),
         ("program.spindle_profiles", [], " must be an object, got []"),
+        # ``dict`` would read these lists as the default program and as a
+        # central mass of 0.5 kg
+        ("program", [], " must be an object, got []"),
+        ("mass_layout", [["central_mass_kg", 0.5]],
+         " must be an object, got [['central_mass_kg', 0.5]]"),
         ("program.spindle_profiles", {"pyramid": [1, "x", 1, 1]},
          ".pyramid.1 must be a number, got 'x'"),
         ("gearbox.worm_teeth", 10 ** 400, f" must be finite, got {10 ** 400}"),
@@ -635,6 +640,43 @@ class TestInputChecks:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("count", (-3, 10 ** 19))
+    @pytest.mark.parametrize("command", ("simulate", "sweep"))
+    def test_origami_joint_count_out_of_range(self, tmp_path, capsys,
+                                              command, count):
+        if command == "simulate":
+            data = load_preset("paper-table1").to_dict()
+            data["sides"][0]["origami_joint_count"] = count
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(data))
+            argv = ["simulate", "--config", str(path)]
+        else:
+            argv = ["sweep", "--preset", "paper-table1",
+                    "--param", "sides.0.origami_joint_count",
+                    "--values", str(count)]
+        out_dir = tmp_path / "out"
+        code = main(argv + ["--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("error: sides.0.origami_joint_count must be "
+                                f"between 0 and 100, got {count}\n")
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    def test_origami_joint_count_bounds(self):
+        config = load_preset("paper-table1")
+        cap = geogami_config.MAX_ORIGAMI_JOINTS
+
+        def with_count(count):
+            side = dataclasses.replace(config.sides[0],
+                                       origami_joint_count=count)
+            return dataclasses.replace(config, sides=(side, *config.sides[1:]))
+
+        with_count(0).validate()
+        with_count(cap).validate()
+        with pytest.raises(ConfigError, match=r"^sides\.0\.origami_joint"):
+            with_count(cap + 1).validate()
 
     def test_sweep_has_no_time_step(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

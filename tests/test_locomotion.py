@@ -525,6 +525,20 @@ class TestProgramValidation:
                       CONFIG.build_program())
 
 
+def around(value):
+    """``value`` and its two float neighbours: a trio that straddles it."""
+    return (math.nextafter(value, -math.inf), value,
+            math.nextafter(value, math.inf))
+
+
+# values a column holds whose text a batch-constant column must keep: both
+# signed zeros; nan and inf; the floats on both sides of each column's zero
+# bound and of a half unit of its last decimal, which print differently
+CSV_EDGES = ((0.0, -0.0), (math.nan, math.inf, -math.inf),
+             *map(around, (5e-7, -5e-7, 5e-10, -5e-10,
+                           2.5e-6, -1234.5665005, 2.5e-9, 3.1415926535)))
+
+
 def old_fmt(value, digits):
     """The trace writer's former per-field formatter, kept as the oracle."""
     return f"{round(value, digits) + 0.0:.{digits}f}"
@@ -563,6 +577,46 @@ class TestTraceCsvFormat:
         digits = (9, 6, 9) + (6,) * 10
         expected = ",".join(old_fmt(value, d) for d in digits) + ",tip:-\n"
         assert buffer.getvalue() == TRACE_CSV_HEADER + "\n" + expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_trace_matches_per_row_reference(self, data):
+        # row counts around the writer's 1,024-row batches; each column is
+        # runs of one value, so a column holds still across some batches
+        # and breaks inside others, some one row from a batch's end
+        rows = data.draw(st.sampled_from((0, 1, 1023, 1024, 1025, 2049)))
+        lengths = st.one_of(st.sampled_from((1, 1000, 1023, 1024, 1025)),
+                            st.integers(1, 1500))
+        pools = st.one_of(st.sampled_from(CSV_EDGES),
+                          st.lists(st.floats(-1e4, 1e4), min_size=1,
+                                   max_size=3))
+        columns = np.empty((rows, 13))
+        for k in range(13):
+            runs = st.tuples(st.sampled_from(data.draw(pools)), lengths)
+            column = [value for value, length
+                      in data.draw(st.lists(runs, min_size=1, max_size=4))
+                      for _ in range(length)]
+            columns[:, k] = (column * (rows // len(column) + 1))[:rows]
+        tokens = [""] * rows
+        if rows:
+            events = st.dictionaries(
+                st.integers(0, rows - 1),
+                st.sampled_from(("tip:-", "roll:+", "saturation:3", "stall")),
+                max_size=4)
+            for k, token in data.draw(events).items():
+                tokens[k] = token
+        buffer = io.StringIO()
+        SimTrace(columns=columns, tokens=tokens).write_csv(buffer)
+        digits = (9, 6, 9) + (6,) * 10
+        text = buffer.getvalue()
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert lines[0] == TRACE_CSV_HEADER and len(lines) == rows + 1
+        # row by row, so a failure names one row, not a diff of the file
+        for k, (line, row, token) in enumerate(zip(lines[1:], columns.tolist(),
+                                                   tokens)):
+            expected = ",".join(map(old_fmt, row, digits)) + f",{token}"
+            assert line == expected, f"row {k}"
 
 
 def step_fold(sim, dt):
