@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -71,9 +72,9 @@ def _chain_rows(args: argparse.Namespace,
             "--tension-n, or --torque-nm")
     query = queries[0]
     value = getattr(args, query)
+    flag = "--" + query.replace("_", "-")
     if not (math.isfinite(value) and value >= 0):
-        raise CliError(f"--{query.replace('_', '-')} must be finite and "
-                       f">= 0, got {value}")
+        raise CliError(f"{flag} must be finite and >= 0, got {value}")
     theta_m = theta_d = theta_s = length = None
     tau_m = tau_s = force = None
     if query == "retraction_mm":
@@ -99,7 +100,7 @@ def _chain_rows(args: argparse.Namespace,
         tau_s = transmission.spool_torque(tau_m, 1, 1, cfg)
     if tau_s is not None and force is None:
         force = transmission.cable_force(tau_s, cfg)
-    return [
+    rows = [
         ("theta_m", theta_m, "rad"),
         ("theta_d", theta_d, "rad"),
         ("theta_s", theta_s, "rad"),
@@ -108,6 +109,11 @@ def _chain_rows(args: argparse.Namespace,
         ("tau_s", tau_s, "N*m"),
         ("F", force, "N"),
     ]
+    for name, result, _unit in rows:
+        if result is not None and not math.isfinite(result):
+            raise CliError(f"{flag} {value} gives a non-finite {name} "
+                           f"({result})")
+    return rows
 
 
 def _cmd_gearbox(args: argparse.Namespace) -> int:
@@ -340,6 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # OpenBLAS starts a worker thread per core when numpy loads it, about
+    # 70 ms of a simulate process on a 2-vCPU host, and geogami makes no
+    # BLAS call that a second thread would speed up.  OpenBLAS reads this
+    # once, at the first import of numpy, which comes later (inside the
+    # run or the fit).  A value the user exported still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

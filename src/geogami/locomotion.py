@@ -556,18 +556,37 @@ class Simulator:
 
     def _resolve_tips(self, state: BodyState,
                       events: List[SimEvent]) -> BodyState:
-        """Execute rolls until the state is stable again."""
+        """Execute rolls until the state is stable again.
+
+        After 8 rolls the ``SimulationError`` names the time and, for the
+        last two tips, the roll angle, the direction and the margin: how
+        far the COM is past the pivot plus the contact lever (> 0).
+        """
+        tips = []
         for _ in range(8):
             report = self._tip_check(state)
             if not report.tipping:
                 return state
+            tips.append((state.roll_angle, report))
             events.append(SimEvent(EventKind.TIP, state.time, state,
                                    direction=report.direction))
             state = execute_roll(state, report.direction,
                                  self.program.roll_quantum)
             events.append(SimEvent(EventKind.ROLL_COMPLETE, state.time,
                                    state, direction=report.direction))
-        raise SimulationError("state keeps tipping after 8 consecutive rolls")
+        lever = self.polygon.contact_lever
+        last = []
+        for phi, report in tips[-2:]:
+            if report.direction > 0:
+                margin = report.com_offset_x - (report.forward_pivot_x + lever)
+            else:
+                margin = (report.rear_pivot_x - lever) - report.com_offset_x
+            last.append(f"phi = {math.degrees(phi):g} deg "
+                        f"({'+' if report.direction > 0 else '-'}, "
+                        f"margin {margin:.3g} mm)")
+        raise SimulationError(
+            f"state keeps tipping after 8 consecutive rolls at "
+            f"t = {state.time:.3f} s; last tips at {' and '.join(last)}")
 
     def step(self, state: BodyState, dt: float) -> Tuple[BodyState, List[SimEvent]]:
         """Advance one time step, emitting the events crossed inside it."""

@@ -1,9 +1,11 @@
 """Run-configuration round-trips, presets, and the CLI surface."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -344,6 +346,17 @@ class TestGearboxCli:
                                 f"got {float(value)}\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("option", ["--tension-n", "--torque-nm"])
+    def test_overflow_gives_one_error_line(self, capsys, option):
+        # tau_s = F * r_s overflows, and so does the spool torque of 1e308 N*m
+        code = main(["gearbox", "--preset", "paper-table1", "--csv",
+                     f"{option}=1e308"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (f"error: {option} 1e+308 gives a non-finite "
+                                f"tau_s (inf)\n")
+        assert captured.out == ""
+
 
 class TestSimulateCli:
     def test_writes_trace_and_summary(self, tmp_path, capsys):
@@ -641,6 +654,44 @@ class TestInputChecks:
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("release, param, value, time, tips", [
+        # rounding dust tips the body at rest, backward every time
+        ("instant_return", "support.contact_lever_mm", "0", "0.000",
+         [(-540, "-", None), (-630, "-", None)]),
+        # the return_angle_limited two-cycle between 90 and 180 degrees
+        ("return_angle_limited", "gearbox.spool_radius_mm", "8.5", "15.751",
+         [(90, "+", None), (180, "-", "0.459")]),
+    ])
+    def test_keeps_tipping_names_the_last_tips(self, tmp_path, capsys,
+                                               release, param, value, time,
+                                               tips):
+        data = load_preset("paper-table1").to_dict()
+        data["program"]["release_model"] = release
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        code = main(["sweep", "--config", str(path),
+                     "--param", param, "--values", value,
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out_dir.exists()
+        assert captured.err.startswith(
+            "error: state keeps tipping after 8 consecutive rolls at "
+            f"t = {time} s; last tips at ")
+        named = re.findall(r"phi = (\S+) deg \(([+-]), margin (\S+) mm\)",
+                           captured.err)
+        assert [(float(phi), sign) for phi, sign, _ in named] == \
+            [(phi, sign) for phi, sign, _ in tips]
+        for (_, _, margin), (_, _, expected) in zip(named, tips):
+            assert 0 < float(margin)
+            if expected is None:   # rounding dust, not a real imbalance
+                assert float(margin) < 1e-13
+            else:
+                assert margin == expected
+
     @pytest.mark.parametrize("count", (-3, 10 ** 19))
     @pytest.mark.parametrize("command", ("simulate", "sweep"))
     def test_origami_joint_count_out_of_range(self, tmp_path, capsys,
@@ -860,9 +911,12 @@ class TestStrokeCheck:
         assert not out_dir.exists()
 
 
-# set-up, sweep and gearbox in a fresh interpreter; the last line reports
-# whether numpy was loaded before and after one simulate run
+# set-up, sweep and gearbox in a fresh interpreter; the next-to-last line
+# reports whether numpy was loaded before and after one simulate run, the
+# last the OpenBLAS thread setting, the thread count and the trace's sha256
 _NUMPY_PROBE = """
+import hashlib
+import os
 import sys
 import geogami
 import geogami.cli as cli
@@ -878,16 +932,49 @@ assert cli.main(["gearbox", "--retraction-mm", "25.1"]) == 0
 before = "numpy" in sys.modules
 assert cli.main(["simulate", "--duration-s", "1", "--out", out]) == 0
 print("numpy loaded:", before, "numpy" in sys.modules)
+threads = (len(os.listdir("/proc/self/task"))
+           if sys.platform.startswith("linux") else None)
+with open(os.path.join(out, "trace_cyclic.csv"), "rb") as trace:
+    digest = hashlib.sha256(trace.read()).hexdigest()
+print("blas:", os.environ.get("OPENBLAS_NUM_THREADS"), threads, digest)
 """
+
+
+def _bundled_openblas():
+    """Whether numpy runs on the OpenBLAS its wheels bundle."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy < 1.26 prints its config only
+        return False
+    return blas.get("name", "").startswith("scipy-openblas")
 
 
 class TestNumpyImport:
     def test_only_simulate_imports_numpy(self, tmp_path):
         # pytest has loaded numpy already, so the check needs its own process
+        assert main(["simulate", "--duration-s", "1",
+                     "--out", str(tmp_path)]) == 0
+        expected = hashlib.sha256(
+            (tmp_path / "trace_cyclic.csv").read_bytes()).hexdigest()
         src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        result = subprocess.run(
-            [sys.executable, "-c", _NUMPY_PROBE, str(tmp_path)], env=env,
-            cwd=tmp_path, capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "numpy loaded: False True"
+        for exported in (None, "2"):
+            env = dict(os.environ, PYTHONPATH=str(src))
+            # main() calls earlier in this process have set the variable
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if exported is not None:
+                env["OPENBLAS_NUM_THREADS"] = exported
+            out = tmp_path / f"probe-{exported}"
+            out.mkdir()
+            result = subprocess.run(
+                [sys.executable, "-c", _NUMPY_PROBE, str(out)], env=env,
+                cwd=out, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            *_, loaded, blas = result.stdout.splitlines()
+            assert loaded == "numpy loaded: False True"
+            setting, threads, digest = blas.split()[1:]
+            # simulate loads numpy with one OpenBLAS thread unless the
+            # user exported a count, and the trace bytes do not depend on it
+            assert setting == (exported or "1")
+            if exported is None and threads != "None" and _bundled_openblas():
+                assert threads == "1"
+            assert digest == expected
