@@ -24,6 +24,10 @@ from .locomotion import SimulationError
 from .svgplot import trace_svg
 
 DEFAULT_PRESET = "paper-table1"
+# every sweep point is built and checked, about 1 ms each, before the first
+# one runs, and then runs its timeline; a --range of more steps than this
+# (0:1e9:1e-9 has 1e18) is refused before any value is made
+MAX_SWEEP_POINTS = 100_000
 
 
 class CliError(Exception):
@@ -195,7 +199,7 @@ def _set_config_value(data: dict, dotted: str, value: float) -> None:
     if isinstance(current, int) and value.is_integer():
         # --values parses floats; an integer field takes 40.0 as 40.  A file
         # may write a decimal field as 8, so any other value passes through
-        # and RunConfig.validate rejects it where the spec declares ``int``
+        # and the config parse rejects it where the spec declares ``int``
         value = int(value)
     node[key] = value
 
@@ -222,6 +226,9 @@ def _sweep_values(args: argparse.Namespace) -> List[float]:
         raise CliError("--range step must be nonzero")
     if (stop - start) * step < 0:
         raise CliError("--range step points away from stop")
+    if (stop - start) / step > MAX_SWEEP_POINTS:
+        raise CliError(f"--range {args.range!r} spans more than "
+                       f"{MAX_SWEEP_POINTS} steps")
     values = []
     k = 0
     while True:

@@ -9,18 +9,17 @@ Presets ship inside the package; the ``GEOGAMI_PRESET_DIR`` environment
 variable overrides their location.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, TextIO,
+                    Tuple, get_args, get_origin)
 
 from .compliance import CompositionLaw, SideAssembly
 from .kinematics import MassLayout
@@ -115,7 +114,7 @@ class RunConfig:
 
     gearbox: GearboxSpec = GearboxSpec()
     mass_layout: MassLayoutSpec = MassLayoutSpec()
-    sides: Tuple[SideSpec, SideSpec, SideSpec, SideSpec] = (
+    sides: Tuple[SideSpec, ...] = (
         SideSpec(), SideSpec(), SideSpec(), SideSpec())
     program: ProgramSpec = ProgramSpec()
     support: SupportSpec = SupportSpec()
@@ -130,8 +129,7 @@ class RunConfig:
         self.build_simulator()
 
     def _check_fields(self) -> None:
-        """The checks that need no builder: types, schema, counts, names."""
-        _check_types(self, "")
+        """The checks that need no builder: schema, counts, names."""
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"unsupported schema_version {self.schema_version}, "
@@ -326,94 +324,61 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Parse a config document; ``build_simulator`` checks the values."""
-        try:
-            gearbox = GearboxSpec(**data.get("gearbox", {}))
-            layout_raw = _object(data.get("mass_layout", {}), "mass_layout")
-            for key in ("corner_masses_kg", "ray_angles_deg", "rest_radii_mm"):
-                if key in layout_raw:
-                    layout_raw[key] = _tuple(layout_raw[key])
-            mass_layout = MassLayoutSpec(**layout_raw)
-            sides = tuple(SideSpec(**s) for s in data.get(
-                "sides", [{}, {}, {}, {}]))
-            program_raw = _object(data.get("program", {}), "program")
-            for key in ("damping_with_origami", "damping_without_origami"):
-                if key in program_raw:
-                    program_raw[key] = DampingSpec(**program_raw[key])
-            if "spindle_profiles" in program_raw:
-                profiles = _object(program_raw["spindle_profiles"],
-                                   "program.spindle_profiles")
-                program_raw["spindle_profiles"] = {
-                    name: _tuple(vals) for name, vals in profiles.items()}
-            program = ProgramSpec(**program_raw)
-            support = SupportSpec(**data.get("support", {}))
-            return cls(
-                gearbox=gearbox, mass_layout=mass_layout, sides=sides,
-                program=program, support=support,
-                composition_law=data.get("composition_law", "B"),
-                description=data.get("description", ""),
-                schema_version=data.get("schema_version", SCHEMA_VERSION))
-        except TypeError as exc:
-            raise ConfigError(f"unknown or missing config field: {exc}") from exc
-
-
-def _object(value: object, path: str) -> dict:
-    """A section JSON must give as an object; ``dict`` would take a list."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path} must be an object, got {value!r}")
-    return dict(value)
-
-
-def _tuple(value: object) -> object:
-    """A JSON list as the tuple a spec holds; ``_check_types`` rejects the rest."""
-    return tuple(value) if isinstance(value, list) else value
+        return _parse(cls, data, "")
 
 
 # the Python types a JSON value of each declared scalar field type may have,
-# and what the field must be; ``bool`` is an ``int`` but only fits "bool"
+# and what the field must be; ``bool`` is an ``int`` but only fits ``bool``
 _FIELD_TYPES = {
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-    "Optional[float]": ((int, float, type(None)), "a number or null"),
-    "bool": (bool, "true or false"),
-    "str": (str, "a string"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    Optional[float]: ((int, float, type(None)), "a number or null"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
 }
 
 
-def _check_types(spec: object, path: str) -> None:
-    """Reject a field whose value is not of its declared type, by dotted field.
+def _parse(declared: object, node: object, path: str) -> object:
+    """``node``, read from JSON, as a value of the ``declared`` field type.
 
-    JSON admits a string, a bool or a list anywhere; the builders would
-    fail on one with a traceback, or read ``"yes"`` as true.  Field types
-    are strings here (``from __future__ import annotations``).
+    JSON admits a string, a bool, a list or an object anywhere; the
+    builders would fail on one with a traceback, read ``"yes"`` as true or
+    a list as an empty section.  So a value of the wrong JSON type or
+    shape, or a field the spec lacks, raises one ``ConfigError`` naming
+    its dotted field.  Values pass through as read (no int -> float).
     """
-    for f in fields(spec):
-        value, name = getattr(spec, f.name), path + f.name
-        if is_dataclass(value):
-            _check_types(value, name + ".")
-        elif f.name == "sides":
-            for k, side in enumerate(value):
-                _check_types(side, f"{name}.{k}.")
-        elif f.name == "spindle_profiles":
-            for mode, profile in value.items():
-                _check_value(profile, "Tuple[float, ...]", f"{name}.{mode}")
-        else:
-            _check_value(value, f.type, name)
-
-
-def _check_value(value: object, declared: str, path: str) -> None:
-    if declared == "Tuple[float, ...]":
-        if not isinstance(value, (tuple, list)):
-            raise ConfigError(f"{path} must be a list of numbers, got {value!r}")
-        for k, item in enumerate(value):
-            _check_value(item, "float", f"{path}.{k}")
-        return
-    types, kind = _FIELD_TYPES[declared]
-    if not isinstance(value, types) or (isinstance(value, bool)
-                                        and declared != "bool"):
-        raise ConfigError(f"{path} must be {kind}, got {value!r}")
-    # JSON admits an int of any size; the builders turn numbers into floats
-    if isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ConfigError(f"{path} must be finite, got {value}")
+    scalar = _FIELD_TYPES.get(declared)
+    if scalar is not None:
+        types, kind = scalar
+        if not isinstance(node, types) or (isinstance(node, bool)
+                                           and declared is not bool):
+            raise ConfigError(f"{path} must be {kind}, got {node!r}")
+        # JSON admits an int of any size; the builders turn numbers into floats
+        if isinstance(node, int) and abs(node) > sys.float_info.max:
+            raise ConfigError(f"{path} must be finite, got {node}")
+        return node
+    prefix = f"{path}." if path else ""
+    if get_origin(declared) is tuple:
+        item = get_args(declared)[0]
+        if not isinstance(node, list):
+            kind = "a list of numbers" if item is float else "a list"
+            raise ConfigError(f"{path} must be {kind}, got {node!r}")
+        return tuple(_parse(item, value, f"{prefix}{k}")
+                     for k, value in enumerate(node))
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path} must be an object, got {node!r}")
+    if get_origin(declared) is dict:
+        item = get_args(declared)[1]
+        return {key: _parse(item, value, f"{prefix}{key}")
+                for key, value in node.items()}
+    field_types = {f.name: f.type for f in fields(declared)}
+    values = {}
+    for name, value in node.items():
+        if name not in field_types:
+            raise ConfigError(
+                f"unknown or missing config field: {prefix}{name}")
+        values[name] = _parse(field_types[name], value, prefix + name)
+    return declared(**values)
 
 
 def _check_finite(node: object, path: str) -> None:
@@ -441,8 +406,9 @@ def _parse_config(text: str, source: str) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     """Parse a run configuration from a JSON file.
 
-    Loading only parses: a config is checked when its run is built
-    (``RunConfig.build_simulator``), after any overrides.
+    Loading parses: a value of the wrong JSON type or shape fails here.
+    The run is checked when it is built (``RunConfig.build_simulator``),
+    after any overrides.
     """
     try:
         with open(path) as handle:
@@ -452,7 +418,7 @@ def load_config(path: str) -> RunConfig:
     return _parse_config(text, path)
 
 
-def _preset_root() -> Traversable:
+def _preset_root() -> "Traversable":
     """Where presets live: ``GEOGAMI_PRESET_DIR`` if set, else the package."""
     override = os.environ.get(PRESET_ENV_VAR)
     return Path(override) if override \
@@ -470,7 +436,7 @@ def available_presets() -> List[str]:
 def load_preset(name: str) -> RunConfig:
     """Parse a named preset, honoring the GEOGAMI_PRESET_DIR override.
 
-    Like ``load_config``, this only parses; the run is checked when built.
+    Like ``load_config``, this parses; the run is checked when built.
     """
     root = _preset_root()
     path = root.joinpath(f"{name}.json")

@@ -1,5 +1,6 @@
 """Run-configuration round-trips, presets, and the CLI surface."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geogami import config as geogami_config, svgplot
-from geogami.cli import main
+from geogami.cli import CliError, _sweep_values, main
 from geogami.config import (SIMULATION_MODES, ConfigError, RunConfig,
                             available_presets, load_config, load_preset,
                             write_atomic)
@@ -30,6 +31,16 @@ def write_config(tmp_path, config, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config.to_dict()))
     return str(path)
+
+
+def _leaf_paths(node, path=()):
+    """(key path, value) of every scalar in a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path, node
 
 
 class TestConfig:
@@ -159,6 +170,11 @@ class TestConfig:
         ("program.spindle_profiles", {"pyramid": [1, "x", 1, 1]},
          ".pyramid.1 must be a number, got 'x'"),
         ("gearbox.worm_teeth", 10 ** 400, f" must be finite, got {10 ** 400}"),
+        ("gearbox", [], " must be an object, got []"),
+        ("support", [], " must be an object, got []"),
+        ("sides", 5, " must be a list, got 5"),
+        ("sides", [[], {}, {}, {}], ".0 must be an object, got []"),
+        ("program.damping_with_origami", [], " must be an object, got []"),
     ], ids=lambda v: None if len(str(v)) <= 40 else f"{str(v)[:12]}...")
     def test_wrong_type_from_file_named_by_field(self, tmp_path, capsys,
                                                  command, field, value,
@@ -178,6 +194,62 @@ class TestConfig:
         assert captured.err == f"error: {field}{error}\n"
         assert captured.out == ""
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--duration-s", "1"],
+        ["sweep", "--param", "program.motor_speed_rad_s", "--values", "30"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("field", ["gearbox.bogus", "sides.2.bogus",
+                                       "bogus"])
+    def test_unknown_field_from_file_named_by_field(self, tmp_path, capsys,
+                                                    command, field):
+        data = load_preset("paper-table1").to_dict()
+        *parents, leaf = field.split(".")
+        node = data
+        for part in parents:
+            node = node[int(part) if isinstance(node, list) else part]
+        node[leaf] = 1
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        code = main(command + ["--config", str(path), "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("error: unknown or missing config field: "
+                                f"{field}\n")
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_wrong_leaf_type_named_by_field(self, data):
+        name = data.draw(st.sampled_from(["paper-table1", "symmetric-test"]))
+        config = load_preset(name)
+        document = config.to_dict()
+        assert RunConfig.from_dict(document) == config
+        leaves = list(_leaf_paths(document))
+        path, value = data.draw(st.sampled_from(leaves))
+        # every JSON type the leaf's field does not admit
+        wrong = [st.lists(st.integers(), max_size=3),
+                 st.dictionaries(st.text(max_size=3), st.integers(),
+                                 max_size=2)]
+        if not isinstance(value, str):
+            wrong.append(st.text(max_size=5))
+        if not isinstance(value, bool):
+            wrong.append(st.just(True))
+        if path[-1] not in ("cable_stiffness", "max_contraction_mm"):
+            wrong.append(st.none())
+        if isinstance(value, (str, bool)):
+            wrong.append(st.integers() | st.floats())
+        *parents, leaf = path
+        node = document
+        for part in parents:
+            node = node[part]
+        node[leaf] = data.draw(st.one_of(wrong))
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict(document)
+        dotted = ".".join(map(str, path))
+        assert str(exc.value).startswith(f"{dotted} must be ")
 
     @pytest.mark.parametrize("umask", (0o022, 0o027), ids=oct)
     def test_write_atomic_applies_umask(self, tmp_path, umask):
@@ -587,6 +659,21 @@ class TestSweepCli:
         values = [float(line.split(",")[0]) for line in lines[1:]]
         assert values == [10.0, 20.0, 30.0]
 
+    @pytest.mark.parametrize("spec, points", [
+        ("0:100000:1", 100_001), ("100000:0:-1", 100_001),
+        ("0:1:1e-5", 100_001), ("0:100000.5:1", None),
+        ("100001:0:-1", None), ("0:2:1e-5", None),
+    ])
+    def test_range_step_bound(self, spec, points):
+        args = argparse.Namespace(values=None, range=spec)
+        if points is None:
+            with pytest.raises(CliError) as exc:
+                _sweep_values(args)
+            assert str(exc.value) == (f"--range {spec!r} spans more than "
+                                      "100000 steps")
+        else:
+            assert len(_sweep_values(args)) == points
+
     def test_non_numeric_field_rejected(self, tmp_path, capsys):
         code = main(["sweep", "--preset", "symmetric-test",
                      "--param", "program.mode", "--values", "1",
@@ -643,6 +730,9 @@ class TestInputChecks:
         # --duration-s would replace every swept duration
         ["sweep", "--param", "program.duration_s", "--values", "5,20,36.1",
          "--duration-s", "36.1"],
+        # about 1e18 points
+        ["sweep", "--param", "gearbox.spool_radius_mm",
+         "--range", "0:1e9:1e-9"],
     ])
     def test_bad_input_gives_one_error_line(self, tmp_path, capsys, argv):
         code = main(argv + ["--preset", "paper-table1",
