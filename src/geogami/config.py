@@ -37,6 +37,11 @@ SIMULATION_MODES = ("cyclic", "pyramid", "spindle5", "spindle10")
 # stiffness per joint, so the count is capped at twenty times that (10**6
 # would build a million-entry chain per side, 10**19 none at all)
 MAX_ORIGAMI_JOINTS = 100
+# engagement windows one cyclic program may open: the engine walks every
+# window, about 0.1 ms and 1.7 kB each in a sweep's timeline (1e6 s of
+# paper-table1 is 110,775 windows and took 11.3 s and 194 MB), so this
+# bounds a run near 20 s and 350 MB; --duration-s 1e300 would open 1.1e299
+MAX_WINDOWS = 200_000
 
 
 class ConfigError(ValueError):
@@ -165,6 +170,18 @@ class RunConfig:
             raise ConfigError(
                 "with-origami damping ratio must be >= without-origami "
                 "(set allow_damping_override to relax)")
+
+    def _check_windows(self, sim: Simulator) -> None:
+        """Reject a cyclic program that opens more than ``MAX_WINDOWS``."""
+        sched = sim.program.schedule
+        if sched.mode is not ScheduleMode.CYCLIC_SECTOR:
+            return
+        windows = sim.program.motor_speed * sim.program.duration \
+            / sim.gearbox.worm_teeth / sched.sector_arc
+        if windows > MAX_WINDOWS:
+            raise ConfigError(
+                f"program.duration_s {self.program.duration_s:g} opens "
+                f"{windows:.3g} engagement windows, more than {MAX_WINDOWS}")
 
     def _check_stroke(self, sim: Simulator) -> None:
         """Reject a run that would pull a corner through its rest radius.
@@ -311,6 +328,7 @@ class RunConfig:
         sim = Simulator(**parts,
                         composition_law=CompositionLaw(config.composition_law),
                         initial_roll=math.radians(config.program.initial_roll_deg))
+        config._check_windows(sim)
         config._check_stroke(sim)
         return sim
 

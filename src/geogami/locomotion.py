@@ -21,6 +21,13 @@ stores them as record columns.  Every other step goes through the scalar
 at the first float at which the tipping predicate holds, found in closed
 form: the COM x offset is affine in time between events.
 
+``SimTrace.write_csv`` writes the trace in batches of rows.  A column
+that holds one value through a batch is formatted once, into the row
+layout.  The other values go through a numpy digit kernel, which writes
+the digits of runs of same-layout rows into byte matrices; a guard sends
+it only values whose text it provably gets right, and the rows with a
+value it refuses, or with an event token, are formatted with ``%``.
+
 Only the sampler (``run`` and its helpers, ``DampingParams.overlay``) and
 the CSV writer import numpy, when first called: ``timeline`` and set-up
 never build an array, so a sweep runs without loading numpy.
@@ -31,8 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from operator import index
-from typing import TYPE_CHECKING, List, Optional, Sequence, TextIO, Tuple
+from operator import index, not_
+from typing import (TYPE_CHECKING, Iterator, List, Optional, Sequence, TextIO,
+                    Tuple)
 
 from .compliance import (CompositionLaw, SideAssembly,
                          cable_series_stiffness, default_joint_model,
@@ -50,6 +58,10 @@ _PIVOT_Y_TOL = 1e-9
 # at an event wastes at most this many step evaluations
 _SAMPLE_STEPS = 4096
 _BEND_PER_CONTRACTION = 0.0697   # rad/mm of joint bend, return-angle release
+# grid steps one ``run`` may sample: a trace row takes about 205 bytes
+# while the run holds it (361,162 rows took 105 MB), so this bounds a
+# trace near 1 GB; --dt 1e-300 would ask for 3.6e301 rows
+MAX_TRACE_STEPS = 5_000_000
 
 
 class SimulationError(RuntimeError):
@@ -123,6 +135,28 @@ class DampingParams:
         wave = np.fromiter(map(math.sin, (omega_d * dt).tolist()),
                            float, len(dt))
         return self.amplitude_rad * decay * wave
+
+    def settled_after(self, phi: float) -> float:
+        """Time after a roll from which its ring-down, added to ``phi``,
+        leaves it unchanged; ``math.inf`` if it may never.
+
+        Adding ``v`` to a float keeps the float if ``|v|`` is less than
+        half the gap to its neighbour toward zero.  From here on the
+        envelope ``amplitude * exp(-zeta * omega * dt)`` is at most a
+        quarter of that gap, which leaves room for the rounding of
+        ``overlay``.  At ``phi = 0`` every nonzero value changes the sum,
+        so there is no such time.
+        """
+        if phi == 0:
+            return math.inf
+        phi = abs(phi)
+        limit = (phi - math.nextafter(phi, 0.0)) / 4
+        if self.amplitude_rad < limit:
+            return 0.0
+        rate = self.damping_ratio * 2 * math.pi * self.frequency_hz
+        if rate == 0:
+            return math.inf
+        return math.log(self.amplitude_rad / limit) / rate
 
 
 @dataclass(frozen=True)
@@ -295,6 +329,7 @@ TRACE_CSV_HEADER = ("t_s,theta_m_rad,phi_rad,xG_mm,yG_mm,"
 # and roll angles to 9, everything else to 6
 _CSV_DECIMALS = (9, 6, 9) + (6,) * 10
 _CSV_FIELDS = tuple(f"%.{d}f," for d in _CSV_DECIMALS)
+_CSV_SCALES = tuple(10.0 ** d for d in _CSV_DECIMALS)
 
 
 def _zero_bound(decimals: int) -> float:
@@ -311,8 +346,119 @@ def _zero_bound(decimals: int) -> float:
 # dust that rounds to zero would print as "-0.000..."; the trace writes
 # "0.000...", so the writer replaces it by zero before formatting
 _ZERO_BOUNDS = tuple(_zero_bound(d) for d in _CSV_DECIMALS)
-# rows per formatting batch: one ``tolist`` and one ``write`` each
+# rows per formatting batch: fewer batches make fewer numpy calls, but a
+# batch's digit arrays take about 1 kB a row; at 2,048 rows a spindle10
+# process peaked 2 MB higher than at 1,024
 _CSV_BATCH = 1024
+
+
+def _csv_batch(block: np.ndarray, tokens: List[str]) -> Iterator[str]:
+    """CSV text of a batch of trace rows, in row order, in pieces.
+
+    A value ``x`` of ``d`` decimals prints as ``%.{d}f`` does.  With ``A
+    = |x| * 10**d``, the digit kernel prints ``n = rint(A)`` only where
+    that is provably what ``%`` prints: where ``|A - n| + A * 2**-51 <
+    0.5``.  That holds only for a finite ``A < 2**50``, and ``A * 2**-51``
+    is at least two ulps of ``A``.  The exact product lies within half an
+    ulp of ``A``, so it is further than an ulp from the rounding tie and
+    rounds to ``n`` too.  The text is a "-" (for ``x < 0`` and ``n > 0``
+    only: the trace prints no negative zero), ``n // 10**d``, "." and the
+    last ``d`` digits of ``n``.  Consecutive rows with the same sign and
+    integer width in every varying column share one layout and go out as
+    one byte matrix.  A row with an event token, or with a value the guard
+    refuses, goes through the ``%`` row format.
+    """
+    import numpy as np
+    rows = len(tokens)
+    # a column with one value in the batch is formatted once, into the row
+    # layout: equal floats print equal text, nan equals nothing (min and
+    # max are nan), and no number prints a "%"
+    columns = block.T.copy()
+    same = (columns.min(axis=1) == columns.max(axis=1)).tolist()
+    fixed = [fmt % (0.0 if abs(value) <= bound else value) if still else fmt
+             for fmt, still, value, bound
+             in zip(_CSV_FIELDS, same, block[0].tolist(), _ZERO_BOUNDS)]
+    row = "".join(fixed) + "%s\n"
+    vary = [k for k, still in enumerate(same) if not still]
+    values = columns[vary]
+    # nan, the infinities and values that overflow fail the guard quietly
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = np.abs(values) * np.array(_CSV_SCALES)[vary, None]
+        near = np.rint(scaled)
+        exact = np.abs(scaled - near) + scaled * 2.0 ** -51 < 0.5
+    kernel = exact.all(axis=0)
+    if any(tokens):
+        kernel &= np.fromiter(map(not_, tokens), bool, rows)
+    # the layout key of a value: 32 for a sign, plus its integer width
+    keys = ((values < 0) & (near > 0)).astype(np.int16) * 32
+    np.copyto(near, 0.0, where=~exact)
+    integers = near.astype(np.int64)
+    texts = {}
+    for decimals in (9, 6):
+        group = [j for j, k in enumerate(vary) if _CSV_DECIMALS[k] == decimals]
+        if not group:
+            continue
+        n = integers[group]
+        top = len(str(int(n.max())))
+        keys[group] += 1
+        for power in range(decimals + 1, top):
+            keys[group] += n >= 10 ** power
+        # the digits of n, in chunks of four: int64 divisions split n
+        # into int16 chunks, and int16 divisions by 1000, 100 and 10 give
+        # the quotients q; digit i is q_i - 10 q_(i-1), which the low
+        # bytes of the q give in wrapping uint8 arithmetic
+        chunks = -(-max(top, decimals + 1) // 4)
+        quads = np.empty((chunks, *n.shape), np.int16)
+        for m in range(chunks - 1, 0, -1):
+            high = n // 10_000
+            quads[m] = n - high * 10_000
+            n = high
+        quads[0] = n
+        q = np.zeros((chunks, 5, *n.shape), np.int16)
+        for i, power in enumerate((1000, 100, 10)):
+            np.floor_divide(quads, power, out=q[:, i + 1])
+        q[:, 4] = quads
+        q = q.astype(np.uint8)
+        digits = (q[:, 1:] - q[:, :-1] * 10).reshape(4 * chunks, *n.shape)
+        # text, digit-major: the digits with "." after the integer ones
+        whole = 4 * chunks - decimals
+        text = np.empty((4 * chunks + 1, *n.shape), np.uint8)
+        text[:whole] = digits[:whole]
+        text[whole + 1:] = digits[whole:]
+        text += ord("0")
+        text[whole] = ord(".")
+        for slot, j in enumerate(group):
+            texts[j] = text[:, slot], whole
+    # segments: a run of kernel rows with one layout, or rows for "%"
+    cut = np.ones(rows, bool)
+    cut[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0) | \
+        (kernel[1:] != kernel[:-1])
+    edges = np.flatnonzero(cut).tolist() + [rows]
+    for a, b in zip(edges, edges[1:]):
+        if not kernel[a]:
+            part = values[:, a:b]
+            bounds = np.array(_ZERO_BOUNDS)[vary, None]
+            part = np.where(np.abs(part) <= bounds, 0.0, part)
+            yield "".join(map(row.__mod__, zip(*part.tolist(), tokens[a:b])))
+            continue
+        # the run's line, with zeros where its digits go
+        pieces, slots, pos = [], [], 0
+        for k, piece in enumerate(fixed):
+            if not same[k]:
+                j = vary.index(k)
+                text, whole = texts[j]
+                sign, width = divmod(int(keys[j, a]), 32)
+                size = width + 1 + _CSV_DECIMALS[k]
+                slots.append((text[whole - width:], pos + sign, size))
+                piece = "-" * sign + "0" * size + ","
+            pieces.append(piece)
+            pos += len(piece)
+        line = ("".join(pieces) + "\n").encode()
+        buffer = bytearray(line) * (b - a)
+        out = np.frombuffer(buffer, np.uint8).reshape(b - a, len(line))
+        for text, pos, size in slots:
+            out[:, pos:pos + size] = text[:, a:b].T
+        yield buffer.decode("ascii")
 
 
 class TraceRecords(Sequence[TraceRecord]):
@@ -371,25 +517,12 @@ class SimTrace:
         return TraceRecords(self.columns, self.tokens)
 
     def write_csv(self, stream: TextIO) -> None:
-        # rows go out in joined batches: a %-formatted row sits in an
-        # over-allocated block, and a StringIO stream keeps every string
-        import numpy as np
         stream.write(TRACE_CSV_HEADER + "\n")
         for first in range(0, len(self.tokens), _CSV_BATCH):
             last = first + _CSV_BATCH
-            block = self.columns[first:last]
-            block = np.where(np.abs(block) <= _ZERO_BOUNDS, 0.0, block)
-            # a column with one value in the batch is formatted once, into
-            # the row format: equal floats print equal text (zeros carry no
-            # sign here), nan equals nothing, and no number prints a "%"
-            same = (block == block[0]).all(axis=0)
-            row = "".join(fmt % value if fixed else fmt for fmt, fixed, value
-                          in zip(_CSV_FIELDS, same.tolist(), block[0].tolist()))
-            row += "%s\n"
-            # zipping the varying columns with the tokens gives each row's
-            # arguments as one tuple, with no Python-level loop per row
-            stream.write("".join(map(row.__mod__, zip(
-                *block[:, ~same].T.tolist(), self.tokens[first:last]))))
+            for text in _csv_batch(self.columns[first:last],
+                                   self.tokens[first:last]):
+                stream.write(text)
 
     def summary_line(self) -> str:
         stall = "yes" if self.stalled else "no"
@@ -715,6 +848,10 @@ class Simulator:
         if not (math.isfinite(dt) and dt > 0):
             raise ValueError(f"dt must be finite and > 0, got {dt}")
         duration = self.program.duration
+        if duration / dt > MAX_TRACE_STEPS:
+            raise ValueError(
+                f"a {duration:g} s run at dt {dt:g} s takes "
+                f"{duration / dt:.3g} steps, more than {MAX_TRACE_STEPS}")
         trace, start = self._start()
         blocks: List[np.ndarray] = []
 
@@ -819,7 +956,9 @@ class Simulator:
         Row ``k`` holds the state at ``times[k]`` with contractions
         ``u[k]``, computed as ``world_com`` does, with the ring-down of
         every roll in ``events`` (the run so far, from ``initial_state()``)
-        added to the roll angle.
+        added to the roll angle.  Rolls are added oldest first, so the
+        rolls that ended ``settled_after`` or longer before the first row
+        leave the angle as it is, and are skipped.
         """
         import numpy as np
         program = self.program
@@ -827,11 +966,14 @@ class Simulator:
         c, s = math.cos(phi), math.sin(phi)
         dbx, dby = mass_offset_xy(self.layout, (self.layout.rest_radii - u).T)
         roll = np.full(len(times), phi)
+        settled = program.damping.settled_after(phi)
+        first = float(times.min())
         for event in events:
             # an event row recorded before a roll of its own batch gets that
             # roll's overlay at dt <= 0, which is exactly 0.0; adding it keeps
             # the angle, or turns -0.0 into 0.0, and both print as zero
-            if event.kind is EventKind.ROLL_COMPLETE:
+            if event.kind is EventKind.ROLL_COMPLETE \
+                    and first - event.time < settled:
                 roll += event.direction * program.damping.overlay(
                     times - event.time)
         gains = [side.routing_gain for side in self.sides]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geogami import config as geogami_config, svgplot
+from geogami import config as geogami_config, locomotion, svgplot
 from geogami.cli import CliError, _sweep_values, main
 from geogami.config import (SIMULATION_MODES, ConfigError, RunConfig,
                             available_presets, load_config, load_preset,
@@ -826,6 +826,83 @@ class TestInputChecks:
                   "--dt", "1e-3", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "unrecognized arguments: --dt" in capsys.readouterr().err
+
+
+class TestRunBounds:
+    # the parent code runs these until memory or patience ends
+    @pytest.mark.parametrize("argv, error", [
+        (["simulate", "--dt", "1e-300"],
+         "a 36.1 s run at dt 1e-300 s takes 3.61e+301 steps, more than "
+         "5000000"),
+        (["simulate", "--mode", "pyramid", "--duration-s", "1e300"],
+         "a 1e+300 s run at dt 0.001 s takes 1e+303 steps, more than "
+         "5000000"),
+        (["simulate", "--duration-s", "1e300"],
+         "program.duration_s 1e+300 opens 1.11e+299 engagement windows, "
+         "more than 200000"),
+        (["sweep", "--param", "gearbox.spool_radius_mm", "--values", "7",
+          "--duration-s", "1e300"],
+         "program.duration_s 1e+300 opens 1.11e+299 engagement windows, "
+         "more than 200000"),
+        (["sweep", "--param", "gearbox.spool_radius_mm", "--values", "7",
+          "--duration-s", "1e7"],
+         "program.duration_s 1e+07 opens 1.11e+06 engagement windows, "
+         "more than 200000"),
+    ])
+    def test_refused_with_one_error_line(self, tmp_path, capsys, argv,
+                                         error):
+        out_dir = tmp_path / "out"
+        code = main(argv + ["--preset", "paper-table1",
+                            "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    def test_trace_steps_refused_before_the_run_starts(self, monkeypatch):
+        sim = load_preset("paper-table1").build_simulator()
+
+        def started(self):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(Simulator, "_start", started)
+        with pytest.raises(ValueError, match="more than 5000000$"):
+            sim.run(dt=1e-300)
+
+    def test_trace_step_bound(self, monkeypatch):
+        monkeypatch.setattr(locomotion, "MAX_TRACE_STEPS", 100)
+        config = load_preset("paper-table1")
+
+        def run(duration):
+            program = dataclasses.replace(config.program, duration_s=duration)
+            sim = dataclasses.replace(config, program=program).build_simulator()
+            return sim.run(dt=0.5)
+
+        assert len(run(50.0).tokens) >= 101
+        with pytest.raises(ValueError, match="takes 101 steps, more than 100"):
+            run(50.5)
+
+    def test_window_bound(self, monkeypatch):
+        monkeypatch.setattr(geogami_config, "MAX_WINDOWS", 4)
+        config = load_preset("paper-table1")
+        gearbox, program = config.gearbox, config.program
+        window_s = math.radians(gearbox.sector_arc_deg) * gearbox.worm_teeth \
+            / program.motor_speed_rad_s
+
+        def with_windows(windows):
+            changed = dataclasses.replace(program,
+                                          duration_s=windows * window_s)
+            return dataclasses.replace(config, program=changed)
+
+        with_windows(3.99).validate()
+        with pytest.raises(ConfigError, match="opens 4.01 engagement windows, "
+                                              "more than 4$"):
+            with_windows(4.01).validate()
+        # a spindle opens no windows
+        spindle = dataclasses.replace(with_windows(1000).program,
+                                      mode="pyramid")
+        dataclasses.replace(config, program=spindle).validate()
 
 
 class TestStrokeCheck:

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -493,6 +494,56 @@ class TestOscillationOverlay:
         with pytest.raises(ValueError, match="damping ratio"):
             DampingParams(damping_ratio=1.5)
 
+    # -90 and -180 degrees come to rest at 0 after a roll: blocks at
+    # phi = 0 with rolls behind them, which must all be added
+    @settings(max_examples=20, deadline=None)
+    @given(frequency=st.floats(0.2, 10.0),
+           zeta=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+           amplitude=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           roll_deg=st.sampled_from((0, 90, 180, -90, -180)),
+           duration=st.floats(0.0, 60.0),
+           release=st.sampled_from(ReleaseModel),
+           spool=st.sampled_from((6.5, 7.5)),
+           dt=st.sampled_from((1e-3, 1e-2)))
+    @example(frequency=2.2, zeta=0.35, amplitude=math.radians(12.0),
+             roll_deg=-90, duration=60.0, release=ReleaseModel.INSTANT_RETURN,
+             spool=7.5, dt=1e-3)
+    def test_ring_down_window_matches_all_rolls(self, frequency, zeta,
+                                                amplitude, roll_deg, duration,
+                                                release, spool, dt):
+        config = dataclasses.replace(CONFIG, gearbox=dataclasses.replace(
+            CONFIG.gearbox, spool_radius_mm=spool))
+        sim = config.build_simulator()
+        program = dataclasses.replace(
+            sim.program, duration=duration, release_model=release,
+            damping=DampingParams(frequency, zeta, amplitude))
+        sim = Simulator(sim.gearbox, sim.layout, sim.sides, sim.polygon,
+                        program, sim.law, math.radians(roll_deg))
+        trace = sim.run(dt=dt)
+        # the oracle adds the ring-down of every roll to every row
+        with mock.patch.object(DampingParams, "settled_after",
+                               lambda self, phi: math.inf):
+            oracle = sim.run(dt=dt)
+        assert trace.tokens == oracle.tokens
+        assert trace.columns.tobytes() == oracle.columns.tobytes()
+
+    @pytest.mark.parametrize("phi", (math.pi / 2, -math.pi / 4, 1e-30,
+                                     12 * math.pi))
+    def test_ring_down_is_settled_below_a_quarter_gap(self, phi):
+        damping = DampingParams()
+        gap = abs(phi) - math.nextafter(abs(phi), 0.0)
+        settled = damping.settled_after(phi)
+        dt = np.array([settled, settled * 1.5, settled + 100.0])
+        assert (np.abs(damping.overlay(dt)) < gap / 2).all()
+        assert (phi + damping.overlay(dt) == phi).all()
+
+    def test_ring_down_never_settles_at_zero_or_undamped(self):
+        assert DampingParams().settled_after(0.0) == math.inf
+        assert DampingParams().settled_after(-0.0) == math.inf
+        undamped = DampingParams(damping_ratio=0.0)
+        assert undamped.settled_after(math.pi) == math.inf
+        assert DampingParams(amplitude_rad=0.0).settled_after(math.pi) == 0.0
+
 
 class TestProgramValidation:
     def test_negative_speed_rejected(self):
@@ -613,6 +664,96 @@ class TestTraceCsvFormat:
         lines = text.splitlines()
         assert lines[0] == TRACE_CSV_HEADER and len(lines) == rows + 1
         # row by row, so a failure names one row, not a diff of the file
+        for k, (line, row, token) in enumerate(zip(lines[1:], columns.tolist(),
+                                                   tokens)):
+            expected = ",".join(map(old_fmt, row, digits)) + f",{token}"
+            assert line == expected, f"row {k}"
+
+
+def nudged(value, ulps):
+    """``value`` moved by ``ulps`` floats (toward +inf if positive)."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+def kernel_values(decimals):
+    """Values the digit kernel takes, for ``decimals`` decimals.
+
+    Values whose integer width or sign changes at the next decimal: those
+    just under 1, 10, 100 and 1e6 that round up to them, and those under
+    half a unit of the last decimal that round to zero; with either sign.
+    """
+    unit = 10.0 ** -decimals
+    bases = st.one_of(
+        st.floats(-1e4, 1e4),
+        st.sampled_from((1.0 - 0.4 * unit, 1.0, 10.0 - 0.4 * unit, 10.0,
+                         100.0 - 0.4 * unit, 100.0, 1e6 - 0.4 * unit, 0.0,
+                         0.4 * unit, 0.6 * unit, 1e-300)))
+    return st.tuples(bases, st.booleans()).map(
+        lambda pair: -pair[0] if pair[1] else pair[0])
+
+
+def guard_values(decimals):
+    """Values aimed at the digit kernel's guard for ``decimals`` decimals.
+
+    Both sides of ``|x| * 10**decimals = 2**50``; the binary-exact
+    rounding ties, the odd multiples of ``2**-7`` at 6 decimals and of
+    ``2**-10`` at 9; values up to 1e12; nan and the infinities; each with
+    its float neighbours; and the values of ``kernel_values``.
+    """
+    limit = 2.0 ** 50 / 10 ** decimals
+    tie = 2.0 ** {6: -7, 9: -10}[decimals]
+    bases = st.one_of(
+        st.floats(-1e12, 1e12),
+        st.floats(0.999, 1.001).map(lambda f: f * limit),
+        st.integers(-10 ** 6, 10 ** 6).map(lambda j: (2 * j + 1) * tie),
+        st.sampled_from((tie, 3 * tie, -tie, -3 * tie, limit, -limit,
+                         math.nan, math.inf, -math.inf)))
+    aimed = st.builds(nudged, bases, st.integers(-2, 2))
+    return st.one_of(aimed, kernel_values(decimals))
+
+
+class TestTraceCsvKernel:
+    # the example count comes from the hypothesis profile
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_trace_matches_per_row_reference(self, data):
+        # row counts around the 1,024-row batches; each column is runs of
+        # a few values, so signs, integer widths and guard verdicts change
+        # inside a batch and across its edges.  Up to three columns draw
+        # values aimed at the guard; the rest draw values the kernel takes,
+        # so that most rows go through it
+        rows = data.draw(st.one_of(
+            st.sampled_from((1, 2, 1023, 1024, 1025, 2047, 2049)),
+            st.integers(1, 64)))
+        lengths = st.one_of(st.sampled_from((1, 2, 1023, 1024, 1025)),
+                            st.integers(1, 40))
+        aimed = data.draw(st.sets(st.integers(0, 12), max_size=3))
+        digits = (9, 6, 9) + (6,) * 10
+        columns = np.empty((rows, 13))
+        for k, decimals in enumerate(digits):
+            values = (guard_values if k in aimed else kernel_values)(decimals)
+            pool = data.draw(st.lists(values, min_size=1, max_size=4))
+            runs = st.tuples(st.sampled_from(pool), lengths)
+            column = [value for value, length
+                      in data.draw(st.lists(runs, min_size=1, max_size=6))
+                      for _ in range(length)]
+            columns[:, k] = (column * (rows // len(column) + 1))[:rows]
+        # event rows at the ends of runs of column 0 and of batches
+        edges = {0, rows - 1, *range(1023, rows, 1024),
+                 *range(1024, rows, 1024)}
+        edges |= {k for k in range(1, rows)
+                  if columns[k, 0] != columns[k - 1, 0]}
+        tokens = [""] * rows
+        for k in data.draw(st.lists(st.sampled_from(sorted(edges)),
+                                    max_size=6)):
+            tokens[k] = data.draw(st.sampled_from(("tip:-", "stall")))
+        buffer = io.StringIO()
+        SimTrace(columns=columns, tokens=tokens).write_csv(buffer)
+        lines = buffer.getvalue().split("\n")
+        assert lines[0] == TRACE_CSV_HEADER and lines[-1] == ""
+        assert len(lines) == rows + 2
         for k, (line, row, token) in enumerate(zip(lines[1:], columns.tolist(),
                                                    tokens)):
             expected = ",".join(map(old_fmt, row, digits)) + f",{token}"
