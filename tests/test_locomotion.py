@@ -715,6 +715,27 @@ def guard_values(decimals):
 
 
 class TestTraceCsvKernel:
+    @pytest.mark.parametrize("decimals", (6, 9))
+    def test_guard_edges_match_per_field_rounding(self, decimals):
+        # |x| * 10**decimals on both sides of 2**50, the first binary-exact
+        # ties, and values whose product carries more digits than a float
+        limit = 2.0 ** 50 / 10 ** decimals
+        tie = 2.0 ** {6: -7, 9: -10}[decimals]
+        edges = [nudged(sign * value, ulps)
+                 for value in (limit, tie, 3 * tie, 1e10 + 0.3, 1e11 + 0.3,
+                               1e12, 123456.7890123)
+                 for sign in (1, -1) for ulps in range(-3, 4)]
+        digits = (9, 6, 9) + (6,) * 10
+        columns = np.full((len(edges), 13), 1.5)
+        for k, d in enumerate(digits):
+            if d == decimals:
+                columns[:, k] = edges
+        buffer = io.StringIO()
+        SimTrace(columns=columns, tokens=[""] * len(edges)).write_csv(buffer)
+        lines = buffer.getvalue().splitlines()[1:]
+        assert lines == [",".join(map(old_fmt, row, digits)) + ","
+                         for row in columns.tolist()]
+
     # the example count comes from the hypothesis profile
     @settings(deadline=None)
     @given(data=st.data())
