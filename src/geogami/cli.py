@@ -2,7 +2,8 @@
 
 Angles typed by users are degrees; everything internal is radians.  Every
 error path exits nonzero with a single ``error: ...`` diagnostic line on
-stderr.  Output files are written atomically.
+stderr; a sweep prints one such line per failed point and keeps the rows
+of the points that ran.  Output files are written atomically.
 """
 
 from __future__ import annotations
@@ -12,21 +13,20 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, get_args
 
 from . import compliance, transmission
 from .compliance import JointFamily, MeasurementFormatError
-from .config import (ConfigError, RunConfig, SIMULATION_MODES, load_config,
-                     load_preset, open_atomic, write_atomic)
+from .config import (ConfigError, RunConfig, SIMULATION_MODES, _parse,
+                     load_config, load_preset, open_atomic, write_atomic)
 from .locomotion import SimulationError
 from .svgplot import trace_svg
 
 DEFAULT_PRESET = "paper-table1"
-# every sweep point is built and checked, about 1 ms each, before the first
-# one runs, and then runs its timeline; a --range of more steps than this
-# (0:1e9:1e-9 has 1e18) is refused before any value is made
+# a sweep builds, checks and runs one point at a time, about 1 ms each; a
+# --range of more steps than this (0:1e9:1e-9 has 1e18) is refused first
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -64,9 +64,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 # -- gearbox ------------------------------------------------------------------
 
-def _chain_rows(args: argparse.Namespace,
-                config: RunConfig) -> List[Tuple[str, Optional[float], str]]:
-    cfg = config.build_gearbox()
+def _chain_rows(args: argparse.Namespace, cfg: transmission.GearboxConfig
+                ) -> List[Tuple[str, Optional[float], str]]:
     queries = [name for name in ("retraction_mm", "motor_deg", "tension_n",
                                  "torque_nm")
                if getattr(args, name) is not None]
@@ -121,10 +120,8 @@ def _chain_rows(args: argparse.Namespace,
 
 
 def _cmd_gearbox(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    config.validate()
-    cfg = config.build_gearbox()
-    rows = _chain_rows(args, config)
+    cfg = _resolve_config(args).build_simulator().gearbox
+    rows = _chain_rows(args, cfg)
     if args.csv:
         print("quantity,value,unit")
         for name, value, unit in rows:
@@ -176,32 +173,32 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 # -- sweep --------------------------------------------------------------------
 
-def _config_key(node: object, part: str) -> object:
-    """``part`` as a key of ``node``; a list takes a plain decimal index."""
+def _with_value(node: object, declared: object, parts: List[str],
+                value: float, dotted: str) -> object:
+    """``node``, of the ``declared`` field type, with the field at ``parts``
+    set to ``value`` and parsed as its declared type, which must be numeric."""
+    if not parts:
+        if declared not in (int, float, Optional[float]):
+            raise CliError(f"config field {dotted!r} is not numeric")
+        # --values parses floats; an integer field takes 40.0 as 40
+        if declared is int and value.is_integer():
+            value = int(value)
+        return _parse(declared, value, dotted)
+    part, *rest = parts
     # int() also takes "-1", "+1", "0_0" and " 1", naming another entry
-    if isinstance(node, list) and not (part.isascii() and part.isdigit()):
-        raise KeyError(part)
-    return int(part) if isinstance(node, list) else part
-
-
-def _set_config_value(data: dict, dotted: str, value: float) -> None:
-    *path, leaf = dotted.split(".")
-    node = data
-    try:
-        for part in path:
-            node = node[_config_key(node, part)]
-        key = _config_key(node, leaf)
-        current = node[key]
-    except (KeyError, IndexError, TypeError, ValueError):
+    if isinstance(node, tuple) and part.isascii() and part.isdigit() \
+            and int(part) < len(node):
+        k = int(part)
+        item = _with_value(node[k], get_args(declared)[0], rest, value, dotted)
+        return node[:k] + (item,) + node[k + 1:]
+    if isinstance(node, dict) and part in node:
+        return {**node, part: _with_value(node[part], get_args(declared)[1],
+                                          rest, value, dotted)}
+    types = {f.name: f.type for f in fields(node)} if is_dataclass(node) else {}
+    if part not in types:
         raise CliError(f"unknown config field {dotted!r}")
-    if not isinstance(current, (int, float)) or isinstance(current, bool):
-        raise CliError(f"config field {dotted!r} is not numeric")
-    if isinstance(current, int) and value.is_integer():
-        # --values parses floats; an integer field takes 40.0 as 40.  A file
-        # may write a decimal field as 8, so any other value passes through
-        # and the config parse rejects it where the spec declares ``int``
-        value = int(value)
-    node[key] = value
+    return replace(node, **{part: _with_value(getattr(node, part), types[part],
+                                              rest, value, dotted)})
 
 
 def _sweep_values(args: argparse.Namespace) -> List[float]:
@@ -244,36 +241,38 @@ def _sweep_values(args: argparse.Namespace) -> List[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .kinematics import RadiusInversionError
     if args.duration_s is not None and args.param == "program.duration_s":
         raise CliError("--duration-s would override every swept "
                        "program.duration_s; give one or the other")
     base = _resolve_config(args)
     values = _sweep_values(args)
-    # every point is checked before the first one runs
-    sims = []
+    if args.duration_s is not None:
+        base = replace(base, program=replace(base.program,
+                                             duration_s=args.duration_s))
+    lines = ["value,rolls,travel_mm,max_tension_N,stall"]
     for value in values:
-        data = base.to_dict()
-        _set_config_value(data, args.param, value)
-        if args.duration_s is not None:
-            data["program"]["duration_s"] = args.duration_s
-        sims.append((value, RunConfig.from_dict(data).build_simulator()))
-    rows = []
-    for value, sim in sims:
-        trace = sim.timeline()
+        try:
+            sim = _with_value(base, RunConfig, args.param.split("."), value,
+                              args.param).build_simulator()
+            trace = sim.timeline()
+        except (ConfigError, SimulationError, RadiusInversionError) as exc:
+            # one line per failed point; the rest of the sweep goes on
+            print(f"error: value {value:.9g}: {exc}", file=sys.stderr)
+            continue
         capacity = transmission.cable_force_from_motor_torque(
             sim.gearbox.motor_torque, sim.gearbox)
-        rows.append((value, trace.rolls_completed, trace.travel_mm, capacity,
-                     trace.stalled))
-    lines = ["value,rolls,travel_mm,max_tension_N,stall"]
-    for value, rolls, travel, tension, stalled in rows:
-        lines.append(f"{value:.9g},{rolls},{travel:.3f},{tension:.6f},"
-                     f"{'yes' if stalled else 'no'}")
-    text = "\n".join(lines) + "\n"
-    out_path = Path(args.out) / "sweep.csv"
-    write_atomic(str(out_path), text)
-    print(text, end="")
-    print(f"wrote {out_path}")
-    return 0
+        lines.append(f"{value:.9g},{trace.rolls_completed},"
+                     f"{trace.travel_mm:.3f},{capacity:.6f},"
+                     f"{'yes' if trace.stalled else 'no'}")
+    if len(lines) > 1:
+        text = "\n".join(lines) + "\n"
+        out_path = Path(args.out) / "sweep.csv"
+        write_atomic(str(out_path), text)
+        print(text, end="")
+        print(f"wrote {out_path}")
+    # a header and one row per value: every point ran
+    return 0 if len(lines) > len(values) else 2
 
 
 # -- parser -------------------------------------------------------------------
