@@ -22,7 +22,7 @@ from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, TextIO,
                     Tuple, get_args, get_origin)
 
 from .compliance import CompositionLaw, SideAssembly
-from .kinematics import MassLayout
+from .kinematics import MassLayout, lattice_radians
 from .locomotion import (ActuationProgram, DampingParams, ReleaseModel,
                          Simulator, SupportPolygon)
 from .transmission import EngagementSchedule, GearboxConfig, ScheduleMode
@@ -171,20 +171,9 @@ class RunConfig:
                 "with-origami damping ratio must be >= without-origami "
                 "(set allow_damping_override to relax)")
 
-    def _check_windows(self, sim: Simulator) -> None:
-        """Reject a cyclic program that opens more than ``MAX_WINDOWS``."""
-        sched = sim.program.schedule
-        if sched.mode is not ScheduleMode.CYCLIC_SECTOR:
-            return
-        windows = sim.program.motor_speed * sim.program.duration \
-            / sim.gearbox.worm_teeth / sched.sector_arc
-        if windows > MAX_WINDOWS:
-            raise ConfigError(
-                f"program.duration_s {self.program.duration_s:g} opens "
-                f"{windows:.3g} engagement windows, more than {MAX_WINDOWS}")
-
     def _check_stroke(self, sim: Simulator) -> None:
-        """Reject a run that would pull a corner through its rest radius.
+        """Reject a run that would pull a corner through its rest radius,
+        or a cyclic program that opens more than ``MAX_WINDOWS``.
 
         Walks the program's strokes as the engine winds them: a spindle
         winds each corner for the whole program at its take-up, and the
@@ -201,6 +190,12 @@ class RunConfig:
         driver = sim.program.motor_speed * sim.program.duration \
             / gearbox.worm_teeth
         if sched.mode is ScheduleMode.CYCLIC_SECTOR:
+            windows = driver / sched.sector_arc
+            if windows > MAX_WINDOWS:
+                raise ConfigError(
+                    f"program.duration_s {self.program.duration_s:g} opens "
+                    f"{windows:.3g} engagement windows, more than "
+                    f"{MAX_WINDOWS}")
             full, last = divmod(driver, sched.sector_arc)
             strokes = ((sched.window_corner(w),
                         sched.sector_arc if w < full else last)
@@ -245,7 +240,7 @@ class RunConfig:
         return MassLayout(
             central_mass=m.central_mass_kg,
             corner_masses=tuple(m.corner_masses_kg),
-            ray_angles=tuple(math.radians(a) for a in m.ray_angles_deg),
+            ray_angles=tuple(lattice_radians(a) for a in m.ray_angles_deg),
             rest_radii=tuple(m.rest_radii_mm))
 
     def build_sides(self) -> Tuple[SideAssembly, ...]:
@@ -327,8 +322,8 @@ class RunConfig:
             _check_finite(value, key)
         sim = Simulator(**parts,
                         composition_law=CompositionLaw(config.composition_law),
-                        initial_roll=math.radians(config.program.initial_roll_deg))
-        config._check_windows(sim)
+                        initial_roll=lattice_radians(
+                            config.program.initial_roll_deg))
         config._check_stroke(sim)
         return sim
 

@@ -25,8 +25,34 @@ class RadiusInversionError(ValueError):
     """A contraction reached or exceeded the rest radius."""
 
 
-CANONICAL_RAY_ANGLES: Tuple[float, float, float, float] = (
-    math.pi / 2, 0.0, 3 * math.pi / 2, math.pi)
+# roll and ray angles lie on a lattice of eighth turns, exact (cos, sin) below
+EIGHTH_TURN = math.pi / 4
+_H = math.sqrt(0.5)  # cos and sin of an eighth turn
+_LATTICE_UNITS = ((1.0, 0.0), (_H, _H), (0.0, 1.0), (-_H, _H),
+                  (-1.0, 0.0), (-_H, -_H), (0.0, -1.0), (_H, -_H))
+
+
+def lattice_index(angle: float) -> Optional[int]:
+    """``k`` if ``angle`` is the float ``k * EIGHTH_TURN``, else None."""
+    if not math.isfinite(angle):
+        return None
+    k = round(angle / EIGHTH_TURN)
+    return k if k * EIGHTH_TURN == angle else None
+
+
+def lattice_radians(degrees: float) -> float:
+    """``degrees`` in radians; ``45 * k`` degrees is ``k * EIGHTH_TURN``."""
+    k, rest = divmod(degrees, 45)
+    return k * EIGHTH_TURN if rest == 0 else math.radians(degrees)
+
+
+def unit(angle: float) -> Tuple[float, float]:
+    """``(cos, sin)`` of an angle; exact at ``k * EIGHTH_TURN``, so that a
+    vertex at a quarter turn lies on its axis."""
+    k = lattice_index(angle)
+    if k is None:
+        return math.cos(angle), math.sin(angle)
+    return _LATTICE_UNITS[k % 8]
 
 
 @dataclass(frozen=True)
@@ -35,7 +61,8 @@ class MassLayout:
 
     central_mass: float = 0.25
     corner_masses: Tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
-    ray_angles: Tuple[float, float, float, float] = CANONICAL_RAY_ANGLES
+    ray_angles: Tuple[float, float, float, float] = (
+        2 * EIGHTH_TURN, 0.0, 6 * EIGHTH_TURN, 4 * EIGHTH_TURN)
     rest_radii: Tuple[float, float, float, float] = (94.4, 94.4, 94.4, 94.4)
 
     def __post_init__(self) -> None:
@@ -50,6 +77,8 @@ class MassLayout:
             raise ValueError("total mass must be > 0")
         if any(r <= 0 for r in self.rest_radii):
             raise ValueError("rest radii must be > 0")
+        if not all(map(math.isfinite, self.ray_angles)):
+            raise ValueError("ray angles must be finite")
         if len({round(a % (2 * math.pi), 12) for a in self.ray_angles}) != 4:
             raise ValueError("ray angles must be distinct")
 
@@ -60,7 +89,7 @@ class MassLayout:
     @cached_property
     def ray_units(self) -> Tuple[Tuple[float, float], ...]:
         """Unit vector ``(cos a, sin a)`` of each ray angle."""
-        return tuple((math.cos(a), math.sin(a)) for a in self.ray_angles)
+        return tuple(unit(a) for a in self.ray_angles)
 
 
 def instantaneous_radius(rest_radius: float, contraction: float) -> float:
@@ -120,7 +149,7 @@ class BodyState:
 def rotation_matrix(roll_angle: float) -> np.ndarray:
     """Planar rotation matrix [[cos, -sin], [sin, cos]]."""
     import numpy as np
-    c, s = math.cos(roll_angle), math.sin(roll_angle)
+    c, s = unit(roll_angle)
     return np.array([[c, -s], [s, c]])
 
 
@@ -158,7 +187,7 @@ def world_com(layout: MassLayout, state: BodyState) -> np.ndarray:
     """World-frame center of mass r_G = r_s + R(phi) * d_b."""
     import numpy as np
     dbx, dby = mass_offset_xy(layout, state.radii)
-    c, s = math.cos(state.roll_angle), math.sin(state.roll_angle)
+    c, s = unit(state.roll_angle)
     return np.array([state.support_radius * state.roll_angle + c * dbx - s * dby,
                      s * dbx + c * dby])
 
@@ -173,10 +202,9 @@ def offset_point(state: BodyState) -> np.ndarray:
     import numpy as np
     r1, r2, r3, r4 = state.radii
     phi = state.roll_angle
-    return np.array([
-        state.support_radius * phi + (r2 - r4) * math.cos(phi),
-        -(r1 - r3) * math.sin(phi),
-    ])
+    c, s = unit(phi)
+    return np.array([state.support_radius * phi + (r2 - r4) * c,
+                     -(r1 - r3) * s])
 
 
 def com_velocity(state: BodyState, roll_rate: float, support_radius_rate: float,
@@ -194,7 +222,7 @@ def com_velocity(state: BodyState, roll_rate: float, support_radius_rate: float,
     r1d, r2d, r3d, r4d = radii_rates
     phi = state.roll_angle
     phid = roll_rate
-    c, s = math.cos(phi), math.sin(phi)
+    c, s = unit(phi)
     xdot = support_radius_rate * phi + state.support_radius * phid \
         + (r2d - r4d) * c - phid * (r2 - r4) * s
     ydot = -(r1d - r3d) * s - phid * (r1 - r3) * c

@@ -41,8 +41,8 @@ from .compliance import (CompositionLaw, SideAssembly,
                          cable_series_stiffness, default_joint_model,
                          JointFamily, return_angle)
 # world_com is unused here; bench/tracer.py counts its calls under this name
-from .kinematics import (BodyState, MassLayout, mass_offset_xy, radii,
-                         world_com)
+from .kinematics import (EIGHTH_TURN, BodyState, MassLayout, lattice_index,
+                         mass_offset_xy, radii, unit, world_com)
 from .transmission import EngagementSchedule, GearboxConfig, ScheduleMode
 
 if TYPE_CHECKING:
@@ -222,28 +222,54 @@ class SupportPolygon:
     def from_link_endpoints(cls, radii_values: Sequence[float],
                             angles: Sequence[float],
                             contact_lever: float = 0.0) -> "SupportPolygon":
-        """Polygon through the link endpoints, ordered counterclockwise.
-
-        Coordinates within 1e-9 of zero are snapped to zero so that
-        axis-aligned endpoints sit exactly on the axes.
-        """
-        def snap(value: float) -> float:
-            return 0.0 if abs(value) < 1e-9 else value
-
-        pts = sorted(
-            ((a % (2 * math.pi), r) for r, a in zip(radii_values, angles)))
-        vertices = tuple((snap(r * math.cos(a)), snap(r * math.sin(a)))
-                         for a, r in pts)
-        return cls(vertices=vertices, contact_lever=contact_lever)
+        """Polygon through the link endpoints, ordered counterclockwise."""
+        vertices = []
+        for _, r, a in sorted((a % (2 * math.pi), r, a)
+                              for r, a in zip(radii_values, angles)):
+            c, s = unit(a)
+            vertices.append((r * c, r * s))
+        return cls(vertices=tuple(vertices), contact_lever=contact_lever)
 
 
 @dataclass(frozen=True)
 class TippingReport:
-    tipping: bool
-    direction: int          # +1 forward (+x), -1 backward, 0 stable
-    com_offset_x: float     # world COM x relative to the body center
-    forward_pivot_x: float  # world x of the leading ground vertex, ditto
+    """World COM x and ground pivot x, relative to the body center, and
+    the tip rule: the body tips once its COM is strictly past one of the
+    ``limits``.  An array ``com_offset_x`` of states gets arrays."""
+
+    com_offset_x: float
+    forward_pivot_x: float  # world x of the leading ground vertex
     rear_pivot_x: float
+    contact_lever: float
+
+    @property
+    def limits(self) -> Tuple[float, float]:
+        """The forward pivot plus the contact lever, the rear one minus it."""
+        return (self.forward_pivot_x + self.contact_lever,
+                self.rear_pivot_x - self.contact_lever)
+
+    @property
+    def direction(self) -> int:
+        """+1 forward (+x), -1 backward, 0 stable; 1 * makes bools ints."""
+        forward, rear = self.limits
+        return 1 * (self.com_offset_x > forward) \
+            - 1 * (self.com_offset_x < rear)
+
+    @property
+    def tipping(self) -> bool:
+        return self.direction != 0
+
+    @property
+    def limit(self) -> float:
+        """The limit in the tip direction; the forward one if stable."""
+        forward, rear = self.limits
+        return rear if self.direction < 0 else forward
+
+    @property
+    def margin(self) -> float:
+        """How far the COM is past ``limit``: > 0 iff the body tips."""
+        past = self.com_offset_x - self.limit
+        return -past if self.direction < 0 else past
 
 
 def ground_pivots(polygon: SupportPolygon,
@@ -251,9 +277,10 @@ def ground_pivots(polygon: SupportPolygon,
     """x of the forward and rear ground-contact vertices at a roll angle.
 
     Returns ``(forward x, rear x)`` relative to the body center.  Vertices
-    within a relative 1e-9 of the lowest world height all touch the ground.
+    within a relative 1e-9 of the lowest world height all touch the ground,
+    as two off-lattice rays mirrored about the vertical may not be level.
     """
-    c, s = math.cos(roll_angle), math.sin(roll_angle)
+    c, s = unit(roll_angle)
     min_y = math.inf
     for vx, vy in polygon.vertices:
         wy = s * vx + c * vy
@@ -269,25 +296,18 @@ def ground_pivots(polygon: SupportPolygon,
 
 def tipping_check(layout: MassLayout, state: BodyState,
                   polygon: SupportPolygon) -> TippingReport:
-    """Compare the world COM against the ground-contact pivot.
+    """Compare the world COM against the ground-contact pivots.
 
-    Tipping iff the COM x strictly exceeds the pivot x (plus the contact
-    lever) in the roll direction; a COM exactly over the pivot is stable.
     All x values are taken relative to the body center, which cancels the
-    common R*phi translation.
+    common R*phi translation; ``TippingReport`` applies the tip rule.
     """
-    c, s = math.cos(state.roll_angle), math.sin(state.roll_angle)
+    c, s = unit(state.roll_angle)
     dbx, dby = mass_offset_xy(layout, state.radii)
     com_x = c * dbx - s * dby
     if not math.isfinite(com_x):
         raise ValueError("degenerate state: COM is not finite")
-    fwd_x, rear_x = ground_pivots(polygon, state.roll_angle)
-    lever = polygon.contact_lever
-    if com_x > fwd_x + lever:
-        return TippingReport(True, 1, com_x, fwd_x, rear_x)
-    if com_x < rear_x - lever:
-        return TippingReport(True, -1, com_x, fwd_x, rear_x)
-    return TippingReport(False, 0, com_x, fwd_x, rear_x)
+    return TippingReport(com_x, *ground_pivots(polygon, state.roll_angle),
+                         polygon.contact_lever)
 
 
 def execute_roll(state: BodyState, direction: int,
@@ -297,11 +317,16 @@ def execute_roll(state: BodyState, direction: int,
     The ring order of the schedule makes the next engaged corner land on
     the new uphill side, so corner indices effectively remap by one ring
     position per roll; the body center advances by R * quantum through the
-    no-slip coordinate.
+    no-slip coordinate.  A roll by ``m`` eighth turns from ``k`` lands on
+    ``k + direction * m``; a float sum leaves the lattice after 13 quanta.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
-    return replace(state, roll_angle=state.roll_angle + direction * quantum)
+    k, m = lattice_index(state.roll_angle), lattice_index(quantum)
+    if k is None or m is None:
+        return replace(state,
+                       roll_angle=state.roll_angle + direction * quantum)
+    return replace(state, roll_angle=(k + direction * m) * EIGHTH_TURN)
 
 
 @dataclass(frozen=True)
@@ -519,18 +544,16 @@ class Simulator:
         ``state`` is stable and tips with ``report`` once advanced to
         ``t_hi``.  Between events the contractions grow linearly, so the
         COM x offset is affine in time: the line through its values at
-        the two ends meets the pivot plus the lever at the estimate.
+        the two ends meets ``report.limit`` at the estimate.
         From there, steps that double from one ulp and then halvings close
         in on the engine's own predicate (floats near time zero are too
         dense to step through one at a time), so the float before the
         result does not tip.
         """
         t0 = state.time
-        lever = self.polygon.contact_lever
-        pivot = (report.forward_pivot_x + lever if report.direction > 0
-                 else report.rear_pivot_x - lever)
         com0 = self._tip_check(state).com_offset_x
-        t = t0 + (t_hi - t0) * (pivot - com0) / (report.com_offset_x - com0)
+        t = t0 + (t_hi - t0) * (report.limit - com0) \
+            / (report.com_offset_x - com0)
         t = min(max(t, math.nextafter(t0, math.inf)),
                 math.nextafter(t_hi, -math.inf))
         # lo stays stable and hi tipping; halve once a step overshoots
@@ -550,8 +573,7 @@ class Simulator:
         """Execute rolls until the state is stable again.
 
         After 8 rolls the ``SimulationError`` names the time and, for the
-        last two tips, the roll angle, the direction and the margin: how
-        far the COM is past the pivot plus the contact lever (> 0).
+        last two tips, the roll angle, the direction and the margin.
         """
         tips = []
         for _ in range(8):
@@ -565,16 +587,11 @@ class Simulator:
                                  self.program.roll_quantum)
             events.append(SimEvent(EventKind.ROLL_COMPLETE, state.time,
                                    state, direction=report.direction))
-        lever = self.polygon.contact_lever
         last = []
         for phi, report in tips[-2:]:
-            if report.direction > 0:
-                margin = report.com_offset_x - (report.forward_pivot_x + lever)
-            else:
-                margin = (report.rear_pivot_x - lever) - report.com_offset_x
             last.append(f"phi = {math.degrees(phi):g} deg "
                         f"({'+' if report.direction > 0 else '-'}, "
-                        f"margin {margin:.3g} mm)")
+                        f"margin {report.margin:.3g} mm)")
         raise SimulationError(
             f"state keeps tipping after 8 consecutive rolls at "
             f"t = {state.time:.3f} s; last tips at {' and '.join(last)}")
@@ -731,15 +748,17 @@ class Simulator:
         record(start)
 
         state = start
-        n_steps = int(math.ceil(duration / dt - 1e-12)) if duration > 0 else 0
-        if n_steps:
+        if duration > 0:
             events: List[SimEvent] = []
             state = self._resolve_tips(start, events)
             absorb(events)
+        # step k ends at min(k * dt, duration): a step to each k * dt short
+        # of the duration, and the first one that reaches it
         k = 0
-        while k < n_steps:
-            steps = np.arange(k + 1, min(k + _SAMPLE_STEPS, n_steps) + 1)
-            grid = np.minimum(steps * dt, duration)
+        while state.time < duration:
+            grid = np.minimum(np.arange(k + 1, k + _SAMPLE_STEPS + 1) * dt,
+                              duration)
+            grid = grid[:np.searchsorted(grid, duration) + 1]
             times, u = self._sample(state, grid)
             if len(times):
                 blocks.append(self._columns(state, times, u, trace.events))
@@ -749,12 +768,8 @@ class Simulator:
                 k += len(times)
                 if len(times) == len(grid):
                     continue
-            t_next = min((k + 1) * dt, duration)
-            step_dt = t_next - state.time
-            if step_dt <= 0:
-                raise ValueError("dt must be > 0")
             events = []
-            state = self._advance(state, state.time + step_dt, events)
+            state = self._advance(state, min((k + 1) * dt, duration), events)
             if absorb(events):
                 break
             record(state)
@@ -775,11 +790,8 @@ class Simulator:
         """
         import numpy as np
         engaged, boundary = self._engagement(state.time)
-        # run ends a step at state.time + (grid[k] - state.time), which is
-        # grid[k]: state.time is 0 or a grid point, and consecutive points
-        # of a grid from 0 lie within a factor 2, so the difference is exact
         starts = np.concatenate(([state.time], grid[:-1]))
-        quiet = (grid > starts) & (grid < boundary)
+        quiet = grid < boundary
         u = np.tile(state.contractions, (len(grid), 1))
         cap = self.program.max_contraction
         for corner in engaged:
@@ -800,10 +812,11 @@ class Simulator:
         quiet &= (u < self.layout.rest_radii).all(axis=1)
         dbx, dby = mass_offset_xy(self.layout, (self.layout.rest_radii - u).T)
         phi = state.roll_angle
-        com_x = math.cos(phi) * dbx - math.sin(phi) * dby
-        fwd_x, rear_x = ground_pivots(self.polygon, phi)
-        lever = self.polygon.contact_lever
-        quiet &= (com_x <= fwd_x + lever) & (com_x >= rear_x - lever)
+        c, s = unit(phi)
+        report = TippingReport(c * dbx - s * dby,
+                               *ground_pivots(self.polygon, phi),
+                               self.polygon.contact_lever)
+        quiet &= report.direction == 0
         n = len(grid) if quiet.all() else int(np.argmin(quiet))
         return grid[:n], u[:n]
 
@@ -821,7 +834,7 @@ class Simulator:
         import numpy as np
         program = self.program
         phi = state.roll_angle
-        c, s = math.cos(phi), math.sin(phi)
+        c, s = unit(phi)
         dbx, dby = mass_offset_xy(self.layout, (self.layout.rest_radii - u).T)
         roll = np.full(len(times), phi)
         settled = program.damping.settled_after(phi)

@@ -553,6 +553,19 @@ class TestSimulateCli:
         # without the soft folding chain in series the cable sees a stiffer side
         assert max_tension("off") > max_tension("on")
 
+    @pytest.mark.parametrize("argv", [
+        # 32.005 / 1e-3 rounds to 32005.000000000004
+        ["--duration-s", "32.005"],
+        ["--duration-s", "16.036", "--dt", "0.0005"],
+    ])
+    def test_trace_ends_at_a_duration_off_the_grid(self, tmp_path, capsys,
+                                                   argv):
+        assert main(["simulate", "--preset", "paper-table1", *argv,
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        last = (tmp_path / "trace_cyclic.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == float(argv[1])
+
 
 class TestSweepCli:
     def test_spool_radius_sweep_tension_scaling(self, tmp_path, capsys):
@@ -584,6 +597,14 @@ class TestSweepCli:
         assert f"rolls={rolls} " in summary
         assert f"stall={stall}" in summary
         assert f"travel_mm={float(travel):.1f}" in summary
+
+    def test_balanced_ring_without_a_lever_sweeps(self, tmp_path, capsys):
+        assert main(["sweep", "--preset", "paper-table1",
+                     "--param", "support.contact_lever_mm", "--values", "0",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == \
+            ["0,5,741.416,1.811160,no"]
 
     def test_worm_teeth_sweep(self, tmp_path, capsys):
         assert main(["sweep", "--preset", "paper-table1",
@@ -798,8 +819,7 @@ class TestInputChecks:
         ["simulate", "--duration-s", "nan"],
         ["sweep", "--param", "gearbox.spool_radius_mm", "--values", "8",
          "--duration-s", "inf"],
-        # keeps tipping: the engine raises SimulationError
-        ["sweep", "--param", "support.contact_lever_mm", "--values", "0"],
+        ["sweep", "--param", "support.contact_lever_mm", "--values", "-1"],
         ["sweep", "--param", "support.contact_lever_mm", "--values", "nan"],
         ["sweep", "--param", "support.contact_lever_mm", "--values", "inf"],
         ["sweep", "--param", "sides.0.routing_gain", "--values", "inf"],
@@ -824,9 +844,10 @@ class TestInputChecks:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("release, param, value, time, tips", [
-        # rounding dust tips the body at rest, backward every time
-        ("instant_return", "support.contact_lever_mm", "0", "0.000",
-         [(-540, "-", None), (-630, "-", None)]),
+        # a heavier corner 4: the instant_return two-cycle between -90 and
+        # -180 degrees; the - tip's margin is dust of _tip_time's float snap
+        ("instant_return", "mass_layout.corner_masses_kg.3", "0.31", "16.517",
+         [(-90, "-", None), (-180, "+", "0.324")]),
         # the return_angle_limited two-cycle between 90 and 180 degrees
         ("return_angle_limited", "gearbox.spool_radius_mm", "8.5", "15.751",
          [(90, "+", None), (180, "-", "0.459")]),

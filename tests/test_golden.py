@@ -5,7 +5,6 @@ moves a last digit, an event row or a record fails here.  A deliberate
 change to the trace must update a digest and say why.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -23,8 +22,10 @@ GOLDEN_SHA256 = {
 
 # cyclic runs that vary what the four digests above do not: a coarse grid
 # (tips between grid points), the other ring-down overlay, a rolled start
-# (other ground pivots, 3 rolls) and a preset whose window is a full turn
+# (other ground pivots, 3 rolls), a preset whose window is a full turn and
+# a strict COM-past-vertex tip, balanced exactly over the pivot at rest
 VARIANT_SHA256 = {
+    "contact-lever-0": "47f0ba3ab2618a95d9681fb1e0e89c418642adab1a6a104310d5cde7cd5521ee",
     "dt-1e-2": "840cd07100d9e6ec7b1a13be1926549123e50a167fa088e2ad644a2838fb35b1",
     "origami-off": "cacedd919b8609d64c273b8b3bf751a979956e2eee27cb1c468e7b09c32b8912",
     "initial-roll-90": "7b730918c3eca73e1144086cd9dcbcf80924e4cffd74ccd2f802728b2ef4571d",
@@ -46,12 +47,14 @@ def test_variant_trace_bytes(variant, tmp_path, capsys):
     argv = {"dt-1e-2": ["--preset", "paper-table1", "--dt", "1e-2"],
             "origami-off": ["--preset", "paper-table1", "--origami", "off"],
             "symmetric-test": ["--preset", "symmetric-test"]}.get(variant)
-    if variant == "initial-roll-90":
-        config = load_preset("paper-table1")
-        config = dataclasses.replace(config, program=dataclasses.replace(
-            config.program, initial_roll_deg=90.0))
-        path = tmp_path / "rolled.json"
-        path.write_text(json.dumps(config.to_dict()))
+    changes = {"initial-roll-90": ("program", "initial_roll_deg", 90.0),
+               "contact-lever-0": ("support", "contact_lever_mm", 0.0)}
+    if variant in changes:
+        section, name, value = changes[variant]
+        data = load_preset("paper-table1").to_dict()
+        data[section][name] = value
+        path = tmp_path / "changed.json"
+        path.write_text(json.dumps(data))
         argv = ["--config", str(path)]
     assert main(["simulate", *argv, "--out", str(tmp_path)]) == 0
     capsys.readouterr()

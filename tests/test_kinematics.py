@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from geogami.kinematics import (BodyState, MassLayout,
                                 RadiusInversionError, body_mass_offset,
                                 com_velocity, instantaneous_radius,
-                                offset_point, radii, rotation_matrix,
-                                world_com)
+                                lattice_radians, offset_point, radii,
+                                rotation_matrix, unit, world_com)
 
 LAYOUT = MassLayout()
 
@@ -35,6 +36,28 @@ class TestInstantaneousRadius:
     def test_negative_contraction_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             instantaneous_radius(94.4, -0.1)
+
+
+class TestUnit:
+    def test_exact_on_the_lattice(self):
+        h = math.sqrt(0.5)
+        table = [(1.0, 0.0), (h, h), (0.0, 1.0), (-h, h),
+                 (-1.0, 0.0), (-h, -h), (0.0, -1.0), (h, -h)]
+        for k in range(-64, 65):
+            assert unit(k * (math.pi / 4)) == table[k % 8], k
+
+    @settings(max_examples=300)
+    @given(angle=st.floats(-1e3, 1e3))
+    def test_math_off_the_lattice(self, angle):
+        assume(angle != round(angle / (math.pi / 4)) * (math.pi / 4))
+        assert unit(angle) == (math.cos(angle), math.sin(angle))
+
+    def test_degrees_on_the_lattice(self):
+        for k in range(-64, 65):
+            assert lattice_radians(45.0 * k) == k * (math.pi / 4), k
+        assert math.radians(45.0 * 11) != 11 * (math.pi / 4)
+        for degrees in (30.0, -100.5, 1e-3):
+            assert lattice_radians(degrees) == math.radians(degrees)
 
 
 class TestRotationMatrix:

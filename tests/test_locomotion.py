@@ -17,7 +17,7 @@ from geogami.kinematics import (BodyState, MassLayout, RadiusInversionError,
 from geogami.locomotion import (ActuationProgram, DampingParams, EventKind,
                                 ReleaseModel, SimTrace, Simulator,
                                 SupportPolygon, TRACE_CSV_HEADER, TraceRecord,
-                                execute_roll, tipping_check)
+                                execute_roll, ground_pivots, tipping_check)
 from geogami.transmission import EngagementSchedule
 
 CONFIG = load_preset("paper-table1")
@@ -93,6 +93,8 @@ class TestTippingCheck:
         # at phi = pi/2 the corner-3 contraction pulls the COM backward
         report = tipping_check(LAYOUT, state, POLYGON)
         assert report.tipping and report.direction == -1
+        assert report.limit == report.rear_pivot_x - POLYGON.contact_lever
+        assert report.margin == report.limit - report.com_offset_x > 0
 
     def test_degenerate_polygon_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
@@ -136,6 +138,53 @@ class TestExecuteRoll:
     def test_direction_validated(self):
         with pytest.raises(ValueError, match="direction"):
             execute_roll(BodyState.at_rest(LAYOUT), 0)
+
+    def test_rolls_stay_on_the_lattice(self):
+        # a running sum of pi/2 leaves k * (pi/4) after 13 quanta
+        state = BodyState.at_rest(LAYOUT)
+        for k in range(1, 41):
+            state = execute_roll(state, 1, math.pi / 2)
+            assert state.roll_angle == 2 * k * (math.pi / 4)
+        for k in range(1, 81):
+            state = execute_roll(state, -1, math.pi / 4)
+            assert state.roll_angle == (80 - k) * (math.pi / 4)
+
+
+class TestRollLattice:
+    def test_balanced_ring_without_a_lever_rests(self):
+        config = dataclasses.replace(CONFIG, support=dataclasses.replace(
+            CONFIG.support, contact_lever_mm=0.0))
+        sim = config.build_simulator()
+        report = tipping_check(LAYOUT, sim.initial_state(), sim.polygon)
+        assert report.com_offset_x == 0.0
+        assert not report.tipping
+        assert sim.timeline().summary_line() == \
+            "rolls=5 travel_mm=741.4 stall=no"
+
+    def test_long_run_rolls_on_the_lattice(self):
+        trace = simulator(duration=361.0).timeline()
+        rolls = events_of(trace, EventKind.ROLL_COMPLETE)
+        assert len(rolls) == trace.rolls_completed == 40
+        quarter = math.pi / 4
+        for roll in rolls:
+            phi = roll.state.roll_angle
+            assert phi == round(phi / quarter) * quarter
+        radius = trace.final_state.support_radius
+        assert abs(trace.travel_mm - 40 * radius * math.pi / 2) <= 1e-9
+
+    def test_mirror_rays_stand_on_both_feet(self):
+        # off the lattice, math.sin leaves the two feet at heights that
+        # differ by rounding; the pivot tolerance puts both on the ground
+        for d in range(5, 90, 5):
+            layout = dataclasses.replace(
+                CONFIG.mass_layout,
+                ray_angles_deg=(90.0, 0.0, 270.0 - d, 270.0 + d))
+            polygon = dataclasses.replace(CONFIG,
+                                          mass_layout=layout).build_polygon()
+            forward, rear = ground_pivots(polygon, 0.0)
+            foot = 94.4 * math.sin(math.radians(d))
+            assert forward == pytest.approx(foot, rel=1e-12), d
+            assert rear == pytest.approx(-foot, rel=1e-12), d
 
 
 class TestDetectStall:
@@ -384,6 +433,18 @@ class TestRunProgram:
                                              EventKind.STALL)
             record_times = [r.time for r in trace.records]
             assert record_times == sorted(record_times)
+
+    @settings(max_examples=30, deadline=None)
+    @given(duration=st.floats(0.0, 20.0)
+           | st.integers(0, 20_000).map(lambda ms: ms / 1000),
+           dt=st.sampled_from((1e-3, 5e-4, 1e-2)) | st.floats(1e-3, 1.0))
+    @example(duration=32.005, dt=1e-3)
+    @example(duration=16.036, dt=5e-4)
+    def test_grid_ends_at_the_duration(self, duration, dt):
+        trace = simulator(duration=duration).run(dt=dt)
+        times = trace.columns[np.array(trace.tokens) == "", 0]
+        assert (np.diff(times) > 0).all()
+        assert times[-1] == duration
 
     @pytest.mark.parametrize("dt", (0.0, -1.0, math.nan, math.inf))
     def test_dt_must_be_finite_and_positive(self, dt):
@@ -790,9 +851,10 @@ def step_fold(sim, dt):
     state = sim.initial_state()
     duration = sim.program.duration
     events, states = [], []
-    for k in range(int(math.ceil(duration / dt - 1e-12))):
-        t_next = min((k + 1) * dt, duration)
-        state, new = sim.step(state, t_next - state.time)
+    k = 0
+    while state.time < duration:
+        k += 1
+        state, new = sim.step(state, min(k * dt, duration) - state.time)
         events.extend(new)
         states.append(state)
         if any(e.kind is EventKind.STALL for e in new):
