@@ -268,7 +268,6 @@ class SideAssembly:
     skeleton_right: float = 0.6
     cable_stiffness: float = math.inf
     routing_gain: float = 1.0
-    rest_radius: float = 94.4
     angular_to_radial: float = 1.0
 
     def __post_init__(self) -> None:
@@ -280,8 +279,6 @@ class SideAssembly:
             raise ValueError("cable stiffness must be > 0 (inf = inextensible)")
         if self.routing_gain <= 0:
             raise ValueError("routing gain must be > 0")
-        if self.rest_radius <= 0:
-            raise ValueError("rest radius must be > 0")
         if self.angular_to_radial <= 0:
             raise ValueError("angular_to_radial must be > 0")
 

@@ -24,8 +24,8 @@ from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, TextIO,
 from .compliance import CompositionLaw, SideAssembly
 from .kinematics import MassLayout, lattice_radians
 from .locomotion import (ActuationProgram, DampingParams, ReleaseModel,
-                         Simulator, SupportPolygon)
-from .transmission import EngagementSchedule, GearboxConfig, ScheduleMode
+                         SimulationError, Simulator, SupportPolygon)
+from .transmission import EngagementSchedule, GearboxConfig
 
 if TYPE_CHECKING:
     from importlib.abc import Traversable
@@ -172,57 +172,21 @@ class RunConfig:
                 "(set allow_damping_override to relax)")
 
     def _check_stroke(self, sim: Simulator) -> None:
-        """Reject a run that would pull a corner through its rest radius,
-        or a cyclic program that opens more than ``MAX_WINDOWS``.
-
-        Walks the program's strokes as the engine winds them: a spindle
-        winds each corner for the whole program at its take-up, and the
-        cyclic drive winds one corner per window.  The saturation cap
-        stops a stroke, and at each window's end the corner keeps what
-        the engine's release leaves, so contraction a return-angle-limited
-        release carries into the corner's next window counts too.  Every
-        window but the last winds the whole sector arc, so the walk ends
-        once a cycle of windows leaves the carried contractions as it found
-        them: each later full window repeats a reach already checked, and
-        the last, partial one reaches less.
-        """
-        gearbox, sched = sim.gearbox, sim.program.schedule
-        driver = sim.program.motor_speed * sim.program.duration \
-            / gearbox.worm_teeth
-        if sched.mode is ScheduleMode.CYCLIC_SECTOR:
-            windows = driver / sched.sector_arc
-            if windows > MAX_WINDOWS:
-                raise ConfigError(
-                    f"program.duration_s {self.program.duration_s:g} opens "
-                    f"{windows:.3g} engagement windows, more than "
-                    f"{MAX_WINDOWS}")
-            full, last = divmod(driver, sched.sector_arc)
-            strokes = ((sched.window_corner(w),
-                        sched.sector_arc if w < full else last)
-                       for w in range(int(full) + (last > 0)))
-        else:
-            strokes = ((corner, driver * take_up)
-                       for corner, take_up in enumerate(sched.take_up, 1))
-        cap = sim.program.max_contraction
-        contraction = [0.0] * len(sim.sides)
-        cycle_start = None
-        for w, (corner, winding) in enumerate(strokes):
-            if w % sched.corner_count == 0:
-                if contraction == cycle_start:
-                    return
-                cycle_start = list(contraction)
-            reach = contraction[corner - 1] + gearbox.spool_radius \
-                * gearbox.spool_per_driver * winding \
-                / sim.sides[corner - 1].routing_gain
-            if cap is not None:
-                reach = min(reach, cap)
+        """Reject a cyclic program that opens more than ``MAX_WINDOWS``,
+        or a stroke (``Simulator.strokes``) that would pull a corner
+        through its rest radius."""
+        if sim.windows > MAX_WINDOWS:
+            raise ConfigError(
+                f"program.duration_s {self.program.duration_s:g} opens "
+                f"{sim.windows:.3g} engagement windows, more than "
+                f"{MAX_WINDOWS}")
+        for corner, reach in sim.strokes():
             rest = sim.layout.rest_radii[corner - 1]
             if reach >= rest:
                 raise ConfigError(
                     f"gearbox.spool_radius_mm {self.gearbox.spool_radius_mm} "
                     f"pulls corner {corner} in by {reach:.3f} mm, which "
                     f"reaches its rest radius {rest} mm")
-            contraction[corner - 1] = sim._released_contraction(reach)
 
     # -- builders (degrees -> radians happens here) ---------------------------
 
@@ -233,7 +197,7 @@ class RunConfig:
             driven_teeth=g.driven_teeth, spool_radius=g.spool_radius_mm,
             sector_arc=math.radians(g.sector_arc_deg),
             efficiency_worm=g.efficiency_worm, efficiency_spur=g.efficiency_spur,
-            corner_count=g.corner_count, motor_torque=g.motor_torque_nm)
+            motor_torque=g.motor_torque_nm)
 
     def build_layout(self) -> MassLayout:
         m = self.mass_layout
@@ -245,7 +209,7 @@ class RunConfig:
 
     def build_sides(self) -> Tuple[SideAssembly, ...]:
         sides = []
-        for spec, rest in zip(self.sides, self.mass_layout.rest_radii_mm):
+        for spec in self.sides:
             chain = (spec.origami_joint_stiffness,) * spec.origami_joint_count \
                 if self.program.origami else ()
             sides.append(SideAssembly(
@@ -255,7 +219,6 @@ class RunConfig:
                 cable_stiffness=math.inf if spec.cable_stiffness is None
                 else spec.cable_stiffness,
                 routing_gain=spec.routing_gain,
-                rest_radius=rest,
                 angular_to_radial=spec.angular_to_radial))
         return tuple(sides)
 
@@ -270,8 +233,7 @@ class RunConfig:
         if mode == "cyclic":
             return EngagementSchedule.cyclic(
                 sector_arc=math.radians(self.gearbox.sector_arc_deg),
-                first_corner=self.program.first_corner,
-                corner_count=self.gearbox.corner_count)
+                first_corner=self.program.first_corner)
         profile = self.program.spindle_profiles.get(mode)
         if profile is None or len(profile) != 4:
             raise ConfigError(
@@ -320,11 +282,16 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         for key, value in asdict(config).items():
             _check_finite(value, key)
+        start = config.program.initial_roll_deg
         sim = Simulator(**parts,
                         composition_law=CompositionLaw(config.composition_law),
-                        initial_roll=lattice_radians(
-                            config.program.initial_roll_deg))
+                        initial_roll=lattice_radians(math.fmod(start, 360)))
         config._check_stroke(sim)
+        try:
+            sim.resolve_tips(sim.initial_state(), [])
+        except SimulationError as exc:
+            raise ConfigError(
+                f"program.initial_roll_deg {start:g} is not a rest pose: {exc}")
         return sim
 
     # -- (de)serialization ----------------------------------------------------

@@ -35,7 +35,8 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import index
-from typing import TYPE_CHECKING, List, Optional, Sequence, TextIO, Tuple
+from typing import (TYPE_CHECKING, Iterator, List, Optional, Sequence,
+                    TextIO, Tuple)
 
 from .compliance import (CompositionLaw, SideAssembly,
                          cable_series_stiffness, default_joint_model,
@@ -444,6 +445,9 @@ class Simulator:
         # a cyclic schedule's take-up is all 1.0, and base * 1.0 == base
         self._rates = tuple(base * s / side.routing_gain
                             for s, side in zip(sched.take_up, self.sides))
+        # seconds of one cyclic window; a stopped motor never leaves window 0
+        self._window_s = gearbox.sector_arc * gearbox.worm_teeth \
+            / program.motor_speed if program.motor_speed else math.inf
         # corners a fixed spindle always winds; None on the cyclic drive
         self._spindle_corners: Optional[Tuple[int, ...]] = None
         if sched.mode is ScheduleMode.FIXED_SPINDLE:
@@ -515,6 +519,45 @@ class Simulator:
         recovered = return_angle(joint, theta) / theta
         return contraction * (1.0 - recovered)
 
+    @property
+    def windows(self) -> float:
+        """Engagement windows the program opens; a spindle opens none."""
+        if self._spindle_corners is not None:
+            return 0.0
+        return self.program.duration / self._window_s
+
+    def strokes(self) -> Iterator[Tuple[int, float]]:
+        """``(corner, reach)`` of every stroke: the contraction it reaches,
+        stopped at the saturation cap.
+
+        A spindle winds each corner for the whole program.  The cyclic
+        drive winds one corner per window of one constant length, the last
+        cut short, and the corner carries what the release leaves into its
+        next window.  The walk ends once a cycle of four windows leaves the
+        carried contractions unchanged, as every later window repeats a
+        reach.  A walk over ``_engagement``'s window times, which round
+        apart by ulps, would never repeat.
+        """
+        duration = self.program.duration
+        cap = self.program.max_contraction or math.inf   # a cap is > 0
+        if self._spindle_corners is not None:
+            for corner, rate in enumerate(self._rates, 1):
+                yield corner, min(rate * duration, cap)
+            return
+        carried = [0.0] * 4
+        cycle_start = None
+        for window in range(math.ceil(self.windows)):
+            if window % 4 == 0:
+                if carried == cycle_start:
+                    return
+                cycle_start = list(carried)
+            corner = self.program.schedule.window_corner(window)
+            wound = min(self._window_s, duration - window * self._window_s)
+            reach = min(carried[corner - 1]
+                        + self._rates[corner - 1] * wound, cap)
+            yield corner, reach
+            carried[corner - 1] = self._released_contraction(reach)
+
     # -- event machinery ---------------------------------------------------
 
     def _tip_check(self, state: BodyState) -> TippingReport:
@@ -568,9 +611,10 @@ class Simulator:
                 t = lo + (hi - lo) / 2
         return hi
 
-    def _resolve_tips(self, state: BodyState,
-                      events: List[SimEvent]) -> BodyState:
-        """Execute rolls until the state is stable again.
+    def resolve_tips(self, state: BodyState,
+                     events: List[SimEvent]) -> BodyState:
+        """Execute rolls until the state is stable again, appending each
+        tip and roll to ``events``; ``run`` and ``timeline`` start here.
 
         After 8 rolls the ``SimulationError`` names the time and, for the
         last two tips, the roll angle, the direction and the margin.
@@ -603,7 +647,7 @@ class Simulator:
         self._check_finite(state)
         t_end = state.time + dt
         events: List[SimEvent] = []
-        state = self._resolve_tips(state, events)
+        state = self.resolve_tips(state, events)
         return self._advance(state, t_end, events), events
 
     @staticmethod
@@ -641,7 +685,7 @@ class Simulator:
             if report.tipping:
                 t_tip = self._tip_time(state, engaged, t_stop, report)
                 state = self._advanced(state, engaged, t_tip)
-                state = self._resolve_tips(state, events)
+                state = self.resolve_tips(state, events)
                 if t_tip < boundary:
                     continue
             else:
@@ -672,7 +716,7 @@ class Simulator:
                 recheck = True
             if recheck:
                 # a clamp or a release can shift the COM; re-check stability
-                state = self._resolve_tips(state, events)
+                state = self.resolve_tips(state, events)
         return state
 
     # -- full run -----------------------------------------------------------
@@ -750,7 +794,7 @@ class Simulator:
         state = start
         if duration > 0:
             events: List[SimEvent] = []
-            state = self._resolve_tips(start, events)
+            state = self.resolve_tips(start, events)
             absorb(events)
         # step k ends at min(k * dt, duration): a step to each k * dt short
         # of the duration, and the first one that reaches it

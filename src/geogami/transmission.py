@@ -19,6 +19,12 @@ class RetractionWindowError(ValueError):
     """Requested retraction cannot be completed within one engagement window."""
 
 
+def _check_corner(corner: int) -> None:
+    """Reject a corner number outside the ring's 1..4."""
+    if not 1 <= corner <= 4:
+        raise ValueError(f"corner must be in 1..4, got {corner}")
+
+
 class ScheduleMode(Enum):
     CYCLIC_SECTOR = "cyclic_sector"
     FIXED_SPINDLE = "fixed_spindle"
@@ -43,7 +49,6 @@ class GearboxConfig:
     sector_arc: float = math.pi / 2      # rad of driver rotation per window
     efficiency_worm: float = 0.78
     efficiency_spur: float = 0.90
-    corner_count: int = 4
     motor_torque: float = 2.4e-4         # N*m
 
     def __post_init__(self) -> None:
@@ -59,8 +64,6 @@ class GearboxConfig:
             value = getattr(self, name)
             if not 0 < value <= 1:
                 raise ValueError(f"{name} must be in (0, 1], got {value}")
-        if self.corner_count != 4:
-            raise ValueError("corner_count is fixed at 4 for this platform")
         if self.motor_torque < 0:
             raise ValueError("motor_torque must be >= 0")
 
@@ -91,65 +94,55 @@ class EngagementSchedule:
 
     ``cyclic_sector`` mode engages exactly one corner at a time in fixed
     ring order, each window spanning ``sector_arc`` radians of driver
-    angle, consecutively (period corner_count * sector_arc).  Window ``w``
+    angle, consecutively (period 4 * sector_arc).  Window ``w``
     opens at driver angle ``window_start(w)`` and engages ``window_corner(w)``.
     ``fixed_spindle`` mode engages all corners simultaneously, each with a
     dimensionless take-up rate multiplier.
     """
 
     mode: ScheduleMode
-    corner_count: int = 4
     sector_arc: float = math.pi / 2
     first_corner: int = 4
     take_up: Tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
 
     def __post_init__(self) -> None:
-        if self.corner_count < 1:
-            raise ValueError("corner_count must be >= 1")
+        if len(self.take_up) != 4:
+            raise ValueError("take_up needs one multiplier per corner")
         if self.mode is ScheduleMode.CYCLIC_SECTOR:
             if self.sector_arc <= 0:
                 raise ValueError("sector_arc must be > 0")
-            if not 1 <= self.first_corner <= self.corner_count:
-                raise ValueError(f"first_corner must be in 1..{self.corner_count}")
+            if not 1 <= self.first_corner <= 4:
+                raise ValueError("first_corner must be in 1..4")
             if any(s != 1.0 for s in self.take_up):
                 raise ValueError("a cyclic schedule winds at unit take-up")
-        else:
-            if len(self.take_up) != self.corner_count:
-                raise ValueError("take_up needs one multiplier per corner")
-            if any(s < 0 for s in self.take_up):
-                raise ValueError("take_up multipliers must be >= 0")
+        elif any(s < 0 for s in self.take_up):
+            raise ValueError("take_up multipliers must be >= 0")
 
     @classmethod
-    def cyclic(cls, sector_arc: float, first_corner: int = 4,
-               corner_count: int = 4) -> "EngagementSchedule":
+    def cyclic(cls, sector_arc: float,
+               first_corner: int = 4) -> "EngagementSchedule":
         """Sector-gear schedule: one corner at a time in ring order.
 
         The default ``first_corner=4`` starts the cycle on the corner at
         world -x in the canonical rest pose, so rolls advance along +x.
         """
-        return cls(mode=ScheduleMode.CYCLIC_SECTOR, corner_count=corner_count,
-                   sector_arc=sector_arc, first_corner=first_corner)
+        return cls(mode=ScheduleMode.CYCLIC_SECTOR, sector_arc=sector_arc,
+                   first_corner=first_corner)
 
     @classmethod
     def spindle(cls, take_up: Sequence[float]) -> "EngagementSchedule":
         """Fixed-spindle schedule: all corners wound together at given rates."""
-        take_up = tuple(float(s) for s in take_up)
-        return cls(mode=ScheduleMode.FIXED_SPINDLE, corner_count=len(take_up),
-                   take_up=take_up)
+        return cls(mode=ScheduleMode.FIXED_SPINDLE,
+                   take_up=tuple(float(s) for s in take_up))
 
     @classmethod
-    def constant(cls, corner_count: int = 4) -> "EngagementSchedule":
+    def constant(cls) -> "EngagementSchedule":
         """All corners permanently engaged at unit rate (chi = 1 throughout)."""
-        return cls.spindle((1.0,) * corner_count)
-
-    def _check_corner(self, corner: int) -> None:
-        if not 1 <= corner <= self.corner_count:
-            raise ValueError(
-                f"corner must be in 1..{self.corner_count}, got {corner}")
+        return cls.spindle((1.0,) * 4)
 
     def chi(self, driver_angle: float, corner: int) -> int:
         """Engagement indicator chi_i at a given driver angle."""
-        self._check_corner(corner)
+        _check_corner(corner)
         if self.mode is ScheduleMode.FIXED_SPINDLE:
             return 1 if self.take_up[corner - 1] > 0 else 0
         return 1 if self.active_corner(driver_angle) == corner else 0
@@ -161,14 +154,14 @@ class EngagementSchedule:
         fixed-spindle schedules the take-up multiplier scales the measure,
         which folds the spindle's retraction rate into the same formula.
         """
-        self._check_corner(corner)
+        _check_corner(corner)
         if self.mode is ScheduleMode.FIXED_SPINDLE:
             return self.take_up[corner - 1] * driver_angle
         arc = self.sector_arc
-        period = self.corner_count * arc
+        period = 4 * arc
         n_full = math.floor(driver_angle / period)
         rem = driver_angle - period * n_full
-        slot = (corner - self.first_corner) % self.corner_count
+        slot = (corner - self.first_corner) % 4
         inside = min(max(rem - slot * arc, 0.0), arc)
         return n_full * arc + inside
 
@@ -179,7 +172,7 @@ class EngagementSchedule:
         Kept in the motor domain so the all-engaged case reduces exactly
         (in floating point too) to theta_m itself.
         """
-        self._check_corner(corner)
+        _check_corner(corner)
         if self.mode is ScheduleMode.FIXED_SPINDLE:
             return self.take_up[corner - 1] * motor_angle
         return worm_teeth * self.engaged_driver_angle(motor_angle / worm_teeth, corner)
@@ -194,7 +187,7 @@ class EngagementSchedule:
 
     def window_corner(self, window: int) -> int:
         """The corner cyclic window ``window`` engages, in ring order."""
-        return (self.first_corner - 1 + window) % self.corner_count + 1
+        return (self.first_corner - 1 + window) % 4 + 1
 
     def active_corner(self, driver_angle: float) -> Optional[int]:
         """The engaged corner at a driver angle; None for fixed-spindle mode."""
@@ -233,8 +226,7 @@ def motor_angle_for_retraction(length: float, corner: int,
     RetractionWindowError if the retraction would need more motor angle
     than one sector pass provides, rather than silently clipping.
     """
-    if not 1 <= corner <= cfg.corner_count:
-        raise ValueError(f"corner must be in 1..{cfg.corner_count}, got {corner}")
+    _check_corner(corner)
     if length < 0:
         raise ValueError(f"retraction length must be >= 0, got {length}")
     motor = length * cfg.driven_teeth * cfg.worm_teeth / (
@@ -259,8 +251,7 @@ def phase_velocity(motor_speed: float, cfg: GearboxConfig) -> float:
 def spool_torque(motor_torque: float, corner: int, engaged: int,
                  cfg: GearboxConfig) -> float:
     """Quasi-static spool torque: chi_i * eta * T_w * (T_dv/T_dr) * tau_m."""
-    if not 1 <= corner <= cfg.corner_count:
-        raise ValueError(f"corner must be in 1..{cfg.corner_count}, got {corner}")
+    _check_corner(corner)
     chi = 1 if engaged else 0
     return chi * cfg.efficiency * cfg.worm_teeth * (
         cfg.driven_teeth / cfg.driver_teeth) * motor_torque

@@ -743,8 +743,9 @@ class TestSweepCli:
                          "--out", str(out_dir)])
         return code, out.getvalue(), err.getvalue()
 
-    # a spool above 30.05 mm pulls a corner through its rest radius when
-    # built; a start of 15, 30 or 60 degrees keeps tipping when run
+    # a spool above 30.05 mm pulls a corner through its rest radius, and a
+    # start of 15, 30 or 60 degrees keeps tipping at rest; both are refused
+    # when built
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_mixed_sweep_keeps_the_feasible_rows(self, tmp_path_factory,
@@ -842,6 +843,34 @@ class TestInputChecks:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("section, key, value, error", [
+        ("gearbox", "corner_count", 3, "gearbox.corner_count must be 4"),
+        ("gearbox", "corner_count", 5, "gearbox.corner_count must be 4"),
+        ("mass_layout", "corner_masses_kg", [0.25] * 3,
+         "mass_layout needs 4 corners"),
+        ("mass_layout", "ray_angles_deg", [90.0, 0.0, 270.0, 180.0, 45.0],
+         "mass_layout needs 4 corners"),
+        ("mass_layout", "rest_radii_mm", [94.4] * 5,
+         "mass_layout needs 4 corners"),
+    ])
+    @pytest.mark.parametrize("command", ("simulate", "sweep"))
+    def test_the_ring_has_four_corners(self, tmp_path, capsys, command,
+                                       section, key, value, error):
+        data = load_preset("paper-table1").to_dict()
+        data[section][key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        argv, point = [command, "--config", str(path)], ""
+        if command == "sweep":
+            argv += ["--param", "program.motor_speed_rad_s", "--values", "30"]
+            point = "value 30: "
+        out_dir = tmp_path / "out"
+        assert main(argv + ["--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {point}{error}\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("release, param, value, time, tips", [
         # a heavier corner 4: the instant_return two-cycle between -90 and
@@ -1156,6 +1185,34 @@ class TestStrokeCheck:
         except SimulationError:
             pass   # "keeps tipping" is another failure, not checked here
 
+    @settings(max_examples=60, deadline=None)
+    @given(spool=st.floats(5.0, 10.0), duration=st.floats(0.0, 400.0),
+           release=st.sampled_from(("instant_return", "return_angle_limited")),
+           mode=st.sampled_from(SIMULATION_MODES))
+    @example(spool=7.0, duration=200.0, release="return_angle_limited",
+             mode="cyclic")
+    @example(spool=8.0, duration=36.1, release="instant_return",
+             mode="spindle10")
+    def test_run_stays_within_the_strokes(self, spool, duration, release,
+                                          mode):
+        config = self.with_program(
+            self.with_spool(load_preset("paper-table1"), spool),
+            duration_s=duration, release_model=release, mode=mode)
+        try:
+            sim = config.build_simulator()
+        except ConfigError:
+            return
+        reach = [0.0] * 4
+        for corner, stroke in sim.strokes():
+            reach[corner - 1] = max(reach[corner - 1], stroke)
+        try:
+            trace = sim.run(dt=0.25)
+        except SimulationError:
+            return   # "keeps tipping" ends the run before a trace exists
+        gains = [side.routing_gain for side in sim.sides]
+        pulled = (trace.columns[:, 5:9] / gains).max(axis=0)
+        assert (pulled <= np.array(reach) + 1e-9).all(), (pulled, reach)
+
     def test_simulate_overrides_are_validated(self, tmp_path, capsys,
                                               monkeypatch):
         def no_run(self, *args, **kwargs):
@@ -1178,6 +1235,70 @@ class TestStrokeCheck:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out_dir.exists()
+
+
+class TestStartPose:
+    @pytest.mark.parametrize("start", ["3", "15", "30", "60", "1e15", "1e16",
+                                       "1e18"])
+    @pytest.mark.parametrize("command", ("simulate", "sweep"))
+    def test_start_that_keeps_tipping_is_refused(self, tmp_path, capsys,
+                                                 command, start):
+        if command == "simulate":
+            data = load_preset("paper-table1").to_dict()
+            data["program"]["initial_roll_deg"] = float(start)
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(data))
+            argv, point = ["simulate", "--config", str(path)], ""
+        else:
+            argv = ["sweep", "--preset", "paper-table1",
+                    "--param", "program.initial_roll_deg", "--values", start]
+            point = f"value {float(start):.9g}: "
+        out_dir = tmp_path / "out"
+        assert main(argv + ["--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {point}program.initial_roll_deg {float(start):g} is not "
+            "a rest pose: state keeps tipping after 8 consecutive rolls at "
+            "t = 0.000 s; last tips at ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("start", (450.0, -270.0, 90.0 + 360.0 * 1000))
+    def test_start_is_reduced_modulo_a_turn(self, start):
+        def run(start):
+            config = load_preset("paper-table1")
+            program = dataclasses.replace(config.program,
+                                          initial_roll_deg=start)
+            sim = dataclasses.replace(config, program=program) \
+                .build_simulator()
+            return sim.initial_state().roll_angle, sim.timeline()
+
+        phi, trace = run(start)
+        assert abs(phi) <= 2 * math.pi
+        assert math.cos(phi) == pytest.approx(0.0, abs=1e-12)
+        assert trace.summary_line() == run(90.0)[1].summary_line() \
+            == "rolls=3 travel_mm=444.8 stall=no"
+
+    @settings(max_examples=100, deadline=None)
+    @given(start=st.integers(-40, 40).map(lambda k: 45.0 * k)
+           | st.floats(-1e4, 1e4, allow_nan=False)
+           | st.sampled_from([1e18, -1e18, 1e15, -1e16, 280.0, 1e-300]))
+    def test_accepted_start_comes_to_rest(self, start):
+        config = load_preset("paper-table1")
+        config = dataclasses.replace(config, program=dataclasses.replace(
+            config.program, initial_roll_deg=start))
+        try:
+            sim = config.build_simulator()
+        except ConfigError as exc:
+            assert str(exc).startswith(
+                f"program.initial_roll_deg {start:g} is not a rest pose: ")
+            return
+        assert abs(sim.initial_state().roll_angle) <= 2 * math.pi
+        try:
+            sim.timeline()
+        except SimulationError as exc:
+            assert "at t = 0.000 s" not in str(exc)
 
 
 # set-up, sweep and gearbox in a fresh interpreter; the next-to-last line

@@ -961,16 +961,16 @@ class TestRunMatchesStepFold:
         config = dataclasses.replace(CONFIG, program=dataclasses.replace(
             CONFIG.program, motor_speed_rad_s=43.0, duration_s=30.0,
             spindle_max_contraction_mm=25.0))
-        config.validate()
+        sim = config.build_simulator(mode="pyramid")
         entry_checks = []
-        resolve = Simulator._resolve_tips
+        resolve = Simulator.resolve_tips
 
         def recording(self, state, events):
             entry_checks.append(state.time)
             return resolve(self, state, events)
 
-        monkeypatch.setattr(Simulator, "_resolve_tips", recording)
-        trace = config.build_simulator(mode="pyramid").run(dt=0.25)
+        monkeypatch.setattr(Simulator, "resolve_tips", recording)
+        trace = sim.run(dt=0.25)
         assert [(e.token(), e.time) for e in trace.events[4:]] == [
             ("saturation:1", 6.25), ("saturation:2", 8.0 + 1.0 / 3.0),
             ("saturation:3", 12.5), ("saturation:4", 25.0), ("stall", 25.0)]

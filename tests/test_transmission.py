@@ -236,9 +236,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="efficiency"):
             GearboxConfig(efficiency_worm=1.2)
 
-    def test_corner_count_fixed(self):
-        with pytest.raises(ValueError, match="corner_count"):
-            GearboxConfig(corner_count=3)
+    def test_schedule_has_four_corners(self):
+        # the engine, the layout and the trace all index four corners
+        with pytest.raises(ValueError, match="one multiplier per corner"):
+            EngagementSchedule.spindle((1.0, 1.0, 1.0))
 
     def test_total_efficiency(self):
         assert TABLE.efficiency == pytest.approx(0.702, rel=1e-12)
