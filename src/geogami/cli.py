@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, get_args
+from typing import List, NoReturn, Optional, Sequence, Tuple, get_args
 
 from . import compliance, transmission
 from .compliance import JointFamily, MeasurementFormatError
@@ -368,5 +368,47 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def _watched() -> bool:
+    """Whether a tracer, profiler or coverage tool watches this process.
+
+    Such a tool writes its results as the interpreter exits (``python -m
+    cProfile -o F``).  From Python 3.12, cProfile and coverage may register
+    with ``sys.monitoring`` instead of ``sys.settrace``/``sys.setprofile``.
+    """
+    monitoring = getattr(sys, "monitoring", None)
+    return bool(sys.gettrace() or sys.getprofile() or monitoring and any(
+        monitoring.get_tool(tool) for tool in range(6)))
+
+
+def run() -> NoReturn:
+    """Process entry of ``python -m geogami.cli`` and the ``geogami`` script.
+
+    Ends the process as soon as ``main``'s outputs are written, with
+    ``os._exit``: the interpreter's teardown of numpy and the package
+    (about 15 ms of a ``simulate`` and 8 ms of a ``sweep`` on a 2-vCPU
+    host) writes nothing.
+    Every output file is closed and renamed inside ``main`` (``open_atomic``,
+    ``write_atomic``), and the commands register no atexit callback and
+    start no thread, so only stdout and stderr are left, flushed here; a
+    failed flush (stdout closed early) is one ``error:`` line and exit code
+    2.  Under a tracer or profiler the process exits normally, so the tool
+    can write its results.  ``--help`` and usage errors leave through
+    ``SystemExit`` as before.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        code = 2
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass   # stderr is gone too; the exit code still tells
+    if _watched():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

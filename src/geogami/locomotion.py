@@ -445,8 +445,9 @@ class Simulator:
         # a cyclic schedule's take-up is all 1.0, and base * 1.0 == base
         self._rates = tuple(base * s / side.routing_gain
                             for s, side in zip(sched.take_up, self.sides))
-        # seconds of one cyclic window; a stopped motor never leaves window 0
-        self._window_s = gearbox.sector_arc * gearbox.worm_teeth \
+        # seconds of one window of the schedule ``_engagement`` walks; a
+        # stopped motor never leaves window 0
+        self._window_s = sched.sector_arc * gearbox.worm_teeth \
             / program.motor_speed if program.motor_speed else math.inf
         # corners a fixed spindle always winds; None on the cyclic drive
         self._spindle_corners: Optional[Tuple[int, ...]] = None

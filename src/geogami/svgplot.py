@@ -38,12 +38,16 @@ def _column_extrema(px: np.ndarray, py: np.ndarray) -> np.ndarray:
 
     Columns are ``floor(px)``.  Ties keep the first point as the lowest
     and the last as the highest; the indices come back in input order.
+    A mask, not ``np.union1d``, merges the two ends of each column: numpy
+    2's ``np.unique`` imports ``numpy.ma``, about 5 ms on a 2-vCPU host.
     """
     import numpy as np
     column = np.floor(px)
     order = np.lexsort((py, column))
     edges = column[order][1:] != column[order][:-1]
-    return np.union1d(order[np.r_[True, edges]], order[np.r_[edges, True]])
+    keep = np.zeros(len(px), dtype=bool)
+    keep[order[np.r_[True, edges] | np.r_[edges, True]]] = True
+    return np.flatnonzero(keep)
 
 
 def _panel(x: np.ndarray, y: np.ndarray, top: float, height: float,

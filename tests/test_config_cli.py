@@ -27,6 +27,7 @@ from geogami.config import (SIMULATION_MODES, ConfigError, RunConfig,
 from geogami.kinematics import RadiusInversionError
 from geogami.locomotion import (EventKind, ReleaseModel, SimTrace,
                                 SimulationError, Simulator)
+from geogami.transmission import EngagementSchedule
 
 
 def write_config(tmp_path, config, name="run.json"):
@@ -492,6 +493,23 @@ class TestSimulateCli:
         peak = np.flatnonzero(first_roll)[np.argmax(roll_deg[first_roll])]
         assert (round(px(times[peak]), 2), round(py(roll_deg[peak]), 2)) \
             in vertices
+
+    @given(st.lists(st.tuples(st.integers(0, 4),
+                              st.sampled_from([0.0, 0.25, 0.75]),
+                              st.sampled_from([-1.0, 0.0, 0.5, 2.0])),
+                    min_size=1, max_size=40))
+    def test_column_extrema_match_a_loop(self, points):
+        px = np.array([column + frac for column, frac, _ in points])
+        py = np.array([y for *_, y in points])
+        lowest, highest = {}, {}
+        for i, (x, y) in enumerate(zip(px, py)):
+            column = math.floor(x)
+            if column not in lowest or y < py[lowest[column]]:
+                lowest[column] = i
+            if column not in highest or y >= py[highest[column]]:
+                highest[column] = i
+        expected = sorted({*lowest.values(), *highest.values()})
+        assert svgplot._column_extrema(px, py).tolist() == expected
 
     def test_full_cycle_summary(self, tmp_path, capsys):
         code = main(["simulate", "--preset", "paper-table1",
@@ -1213,6 +1231,29 @@ class TestStrokeCheck:
         pulled = (trace.columns[:, 5:9] / gains).max(axis=0)
         assert (pulled <= np.array(reach) + 1e-9).all(), (pulled, reach)
 
+    def test_strokes_walk_the_schedules_windows(self):
+        # the preset's gearbox turns a full 2*pi sector, the schedule a
+        # 1 rad one: at 10.75 rad/s a window opens every 1 * 43 / 10.75 =
+        # 4 s, so a 10 s run winds corners 4, 1 and 2
+        base = load_preset("paper-table1").build_simulator()
+        program = dataclasses.replace(
+            base.program, motor_speed=10.75, duration=10.0,
+            schedule=EngagementSchedule.cyclic(sector_arc=1.0))
+        sim = Simulator(base.gearbox, base.layout, base.sides, base.polygon,
+                        program, base.law, base.initial_roll)
+        assert sim.windows == 2.5
+        reach = [0.0] * 4
+        for corner, stroke in sim.strokes():
+            reach[corner - 1] = max(reach[corner - 1], stroke)
+        trace = sim.run(dt=0.25)
+        wound = {event.corner for event in trace.events
+                 if event.kind is EventKind.ENGAGEMENT_START}
+        assert wound == {4, 1, 2}
+        assert wound == {corner for corner, _ in sim.strokes()}
+        gains = [side.routing_gain for side in sim.sides]
+        pulled = (trace.columns[:, 5:9] / gains).max(axis=0)
+        assert (pulled <= np.array(reach) + 1e-9).all(), (pulled, reach)
+
     def test_simulate_overrides_are_validated(self, tmp_path, capsys,
                                               monkeypatch):
         def no_run(self, *args, **kwargs):
@@ -1320,8 +1361,10 @@ assert cli.main(["sweep", "--param", "gearbox.spool_radius_mm",
                  "--values", "5.5,7", "--out", out]) == 0
 assert cli.main(["gearbox", "--retraction-mm", "25.1"]) == 0
 before = "numpy" in sys.modules
-assert cli.main(["simulate", "--duration-s", "1", "--out", out]) == 0
+assert cli.main(["simulate", "--duration-s", "1", "--plot", "--out", out]) == 0
 print("numpy loaded:", before, "numpy" in sys.modules)
+# numpy 2's np.unique imports numpy.ma, which the plot does not need
+assert "numpy.ma" not in sys.modules, "simulate --plot imported numpy.ma"
 threads = (len(os.listdir("/proc/self/task"))
            if sys.platform.startswith("linux") else None)
 with open(os.path.join(out, "trace_cyclic.csv"), "rb") as trace:
@@ -1368,3 +1411,86 @@ class TestNumpyImport:
             if exported is None and threads != "None" and _bundled_openblas():
                 assert threads == "1"
             assert digest == expected
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _cli_env():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # a pipe block-buffers stdout only without this
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _cli_process(args, cwd):
+    return subprocess.run([sys.executable, *args], env=_cli_env(), cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestProcessEntry:
+    """``python -m geogami.cli`` ends through ``cli.run``, which skips the
+    interpreter's teardown; these run it in its own process."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "paper-table1", "--plot"],
+        ["sweep", "--param", "gearbox.spool_radius_mm", "--values", "5.5,7"],
+    ], ids=lambda argv: argv[0])
+    def test_outputs_match_main(self, tmp_path, capsys, argv):
+        inside, outside = tmp_path / "main", tmp_path / "process"
+        assert main(argv + ["--out", str(inside)]) == 0
+        expected = capsys.readouterr().out
+        result = _cli_process(["-m", "geogami.cli", *argv,
+                               "--out", str(outside)], tmp_path)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.replace(str(outside), str(inside)) == expected
+        names = sorted(path.name for path in inside.iterdir())
+        assert names == sorted(path.name for path in outside.iterdir())
+        for name in names:
+            assert (outside / name).read_bytes() == (inside / name).read_bytes()
+
+    def test_bad_input_is_one_error_line(self, tmp_path):
+        result = _cli_process(["-m", "geogami.cli", "simulate", "--dt", "nan",
+                               "--out", str(tmp_path)], tmp_path)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: dt must be finite and > 0, got nan\n"
+
+    def test_help_and_usage_errors_exit_through_argparse(self, tmp_path):
+        shown = _cli_process(["-m", "geogami.cli", "--help"], tmp_path)
+        assert shown.returncode == 0
+        assert shown.stdout.startswith("usage: geogami")
+        wrong = _cli_process(["-m", "geogami.cli", "simulate", "--mode",
+                              "bogus"], tmp_path)
+        assert wrong.returncode == 2
+        assert wrong.stderr.splitlines()[-1].startswith(
+            "geogami simulate: error: argument --mode")
+
+    def test_stdout_closed_early(self, tmp_path):
+        # 5,001 rows, about 150 kB, do not fit in the pipe: the write that
+        # follows the reader's close fails
+        child = subprocess.Popen(
+            [sys.executable, "-m", "geogami.cli", "sweep", "--param",
+             "gearbox.spool_radius_mm", "--range", "5:6:0.0002",
+             "--out", str(tmp_path)], env=_cli_env(), cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            first = child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=120)
+        finally:
+            child.kill()
+            child.stderr.close()
+        assert first == "value,rolls,travel_mm,max_tension_N,stall\n"
+        assert code == 2
+        assert re.fullmatch(r"error: [^\n]*\n", err), err
+
+    def test_profiler_writes_its_output(self, tmp_path):
+        profile = tmp_path / "cli.prof"
+        result = _cli_process(["-m", "cProfile", "-o", str(profile),
+                               "-m", "geogami.cli", "gearbox",
+                               "--retraction-mm", "25.1"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("gearbox: T_w=43")
+        assert profile.stat().st_size > 0

@@ -1,8 +1,9 @@
-"""Golden traces: sha256 of trace CSVs written by ``simulate``.
+"""Golden traces: sha256 of the trace CSVs and plots written by ``simulate``.
 
 The digests pin every byte ``simulate`` writes, so an engine refactor that
-moves a last digit, an event row or a record fails here.  A deliberate
-change to the trace must update a digest and say why.
+moves a last digit, an event row or a record fails here, and so does a
+plot change that moves a vertex.  A deliberate change to the trace or the
+plot must update a digest and say why.
 """
 
 import hashlib
@@ -30,6 +31,13 @@ VARIANT_SHA256 = {
     "origami-off": "cacedd919b8609d64c273b8b3bf751a979956e2eee27cb1c468e7b09c32b8912",
     "initial-roll-90": "7b730918c3eca73e1144086cd9dcbcf80924e4cffd74ccd2f802728b2ef4571d",
     "symmetric-test": "a0d46932cca41c74e12eb5d98d013e7e11b548e3a511d426366c9511090ca914",
+}
+
+# the SVG of ``simulate --plot`` at the default dt, the paper's headline
+# run and a stall whose roll panel is flat
+SVG_SHA256 = {
+    "cyclic": "1b3ef5e0371dc44c980de627ac2e95f54b15b0dad6e0c840cdfd24d25399c270",
+    "pyramid": "7ac09d5a09f9559a600de5508eee058463ca70cf90ca386b06473d117c338715",
 }
 
 
@@ -60,3 +68,12 @@ def test_variant_trace_bytes(variant, tmp_path, capsys):
     capsys.readouterr()
     data = (tmp_path / "trace_cyclic.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == VARIANT_SHA256[variant]
+
+
+@pytest.mark.parametrize("mode", sorted(SVG_SHA256))
+def test_paper_table1_plot_bytes(mode, tmp_path, capsys):
+    assert main(["simulate", "--preset", "paper-table1", "--mode", mode,
+                 "--plot", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    data = (tmp_path / f"trace_{mode}.svg").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SVG_SHA256[mode]
