@@ -8,22 +8,15 @@ effective unit here is N/mm; ``SideAssembly.angular_to_radial`` records
 the conversion factor used (1.0 keeps the quoted values as-is).
 
 Fitting and evaluation are pure; models and assemblies are immutable and
-freely shareable.  Functions that build arrays import numpy, and those
-that evaluate polynomials numpy.polynomial (0.8 MB resident), when
-called, so a simulation with the default instant-return release never
-loads the latter and a sweep loads neither.
+freely shareable.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 
 class MeasurementFormatError(ValueError):
@@ -81,21 +74,6 @@ class JointMeasurementSet:
             if force < 0:
                 raise ValueError(f"sample {k}: bending force {force} < 0")
 
-    @property
-    def angles(self) -> np.ndarray:
-        import numpy as np
-        return np.array([s[0] for s in self.samples])
-
-    @property
-    def forces(self) -> np.ndarray:
-        import numpy as np
-        return np.array([s[1] for s in self.samples])
-
-    @property
-    def return_angles(self) -> np.ndarray:
-        import numpy as np
-        return np.array([s[2] for s in self.samples])
-
 
 MEASUREMENT_CSV_HEADER = ("theta_deg", "force_N", "return_deg")
 
@@ -107,6 +85,7 @@ def read_measurement_csv(path: str,
     Degrees in files, radians internally.  Raises MeasurementFormatError
     naming the offending row on malformed input.
     """
+    import csv
     samples: List[Tuple[float, float, float]] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -154,8 +133,7 @@ class JointModel:
 
     def force(self, theta: float) -> float:
         """Bending force F_b at a bend angle (no range check)."""
-        from numpy.polynomial import polynomial as npoly
-        return float(npoly.polyval(theta, self.force_coeffs))
+        return float(_polyval(theta, self.force_coeffs))
 
     def to_dict(self) -> dict:
         return {
@@ -167,6 +145,19 @@ class JointModel:
             "mean_stiffness_n_per_rad": self.mean_stiffness,
             "note": self.note,
         }
+
+
+def _polyval(x, coeffs: Sequence[float]):
+    """numpy's ``polyval`` to the bit, for a float or an array ``x``."""
+    value = coeffs[-1] + x * 0.0
+    for c in reversed(coeffs[:-1]):
+        value = c + value * x
+    return value
+
+
+def _polyder(coeffs: Sequence[float]) -> Tuple[float, ...]:
+    """Derivative coefficients, as numpy's ``polyder`` gives them."""
+    return tuple(k * c for k, c in enumerate(coeffs) if k) or (coeffs[0] * 0.0,)
 
 
 def _check_range(model: JointModel, theta: float) -> None:
@@ -182,19 +173,20 @@ def fit_joint_model(data: JointMeasurementSet, degree: int = 3) -> JointModel:
     mean_stiffness is the average of dF_b/dtheta over the fitted range,
     which for a polynomial is the endpoint difference quotient.
     """
+    import numpy as np
     from numpy.polynomial import polynomial as npoly
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if len(data.samples) < degree + 1:
         raise ValueError(
             f"underdetermined fit: {len(data.samples)} samples for degree {degree}")
-    angles = data.angles
-    force_coeffs = npoly.polyfit(angles, data.forces, degree)
-    return_coeffs = npoly.polyfit(angles, data.return_angles, degree)
+    angles, forces, returns = np.array(data.samples).T
+    force_coeffs = npoly.polyfit(angles, forces, degree)
+    return_coeffs = npoly.polyfit(angles, returns, degree)
     lo, hi = float(angles.min()), float(angles.max())
     if not lo < hi:
         raise ValueError("samples must span a nonzero angle range")
-    mean = (npoly.polyval(hi, force_coeffs) - npoly.polyval(lo, force_coeffs)) / (hi - lo)
+    mean = (_polyval(hi, force_coeffs) - _polyval(lo, force_coeffs)) / (hi - lo)
     return JointModel(
         family=data.family,
         force_coeffs=tuple(float(c) for c in force_coeffs),
@@ -208,27 +200,22 @@ def fit_joint_model(data: JointMeasurementSet, degree: int = 3) -> JointModel:
 def fit_residuals(model: JointModel, data: JointMeasurementSet) -> Tuple[float, float]:
     """Max absolute residuals (force N, return angle rad) of a fit."""
     import numpy as np
-    from numpy.polynomial import polynomial as npoly
-    force_res = np.max(np.abs(
-        npoly.polyval(data.angles, model.force_coeffs) - data.forces))
-    return_res = np.max(np.abs(
-        npoly.polyval(data.angles, model.return_coeffs) - data.return_angles))
+    angles, forces, returns = np.array(data.samples).T
+    force_res = np.max(np.abs(_polyval(angles, model.force_coeffs) - forces))
+    return_res = np.max(np.abs(_polyval(angles, model.return_coeffs) - returns))
     return float(force_res), float(return_res)
 
 
 def bending_stiffness(model: JointModel, theta: float) -> float:
     """Angle-dependent bending stiffness k_b = dF_b/dtheta (N/rad)."""
-    from numpy.polynomial import polynomial as npoly
     _check_range(model, theta)
-    deriv = npoly.polyder(model.force_coeffs)
-    return float(npoly.polyval(theta, deriv))
+    return float(_polyval(theta, _polyder(model.force_coeffs)))
 
 
 def return_angle(model: JointModel, theta: float) -> float:
     """Elastic return angle after unloading at peak bend, clamped to [0, theta]."""
-    from numpy.polynomial import polynomial as npoly
     _check_range(model, theta)
-    raw = float(npoly.polyval(theta, model.return_coeffs))
+    raw = float(_polyval(theta, model.return_coeffs))
     return min(max(raw, 0.0), theta)
 
 

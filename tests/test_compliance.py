@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from geogami.compliance import (CompositionLaw, JointFamily,
                                 JointMeasurementSet, JointModel,
                                 MeasurementFormatError, SideAssembly,
+                                _polyder, _polyval,
                                 bending_stiffness, cable_series_stiffness,
                                 cable_tension, chain_stiffness,
                                 default_joint_model, fit_joint_model,
@@ -94,6 +97,35 @@ class TestBendingStiffness:
         model = default_joint_model(JointFamily.FOLDING_24MM)
         with pytest.raises(ValueError, match="range"):
             bending_stiffness(model, 2.0)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+# finite values small enough that no degree-5 polynomial overflows; signed
+# zeros and subnormals included
+_COEFFS = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6).map(tuple)
+_POINTS = st.floats(-1e3, 1e3)
+
+
+class TestPolynomialEvaluator:
+    """``_polyval`` and ``_polyder`` give numpy's values to the bit."""
+
+    @given(coeffs=_COEFFS, x=_POINTS)
+    def test_polyval_matches_numpy_at_a_float(self, coeffs, x):
+        assert _bits([_polyval(x, coeffs)]) == _bits(
+            [npoly.polyval(x, coeffs)])
+
+    @given(coeffs=_COEFFS, xs=st.lists(_POINTS, min_size=1, max_size=8))
+    def test_polyval_matches_numpy_on_an_array(self, coeffs, xs):
+        xs = np.array(xs)
+        assert _polyval(xs, coeffs).tobytes() == \
+            npoly.polyval(xs, coeffs).tobytes()
+
+    @given(coeffs=_COEFFS)
+    def test_polyder_matches_numpy(self, coeffs):
+        assert _bits(_polyder(coeffs)) == npoly.polyder(coeffs).tobytes()
 
 
 class TestChainStiffness:

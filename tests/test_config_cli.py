@@ -255,14 +255,27 @@ class TestConfig:
         assert str(exc.value).startswith(f"{dotted} must be ")
 
     @pytest.mark.parametrize("umask", (0o022, 0o027), ids=oct)
-    def test_write_atomic_applies_umask(self, tmp_path, umask):
+    @pytest.mark.parametrize("existing", (False, True), ids=("new", "rerun"))
+    def test_write_atomic_applies_umask(self, tmp_path, umask, existing):
+        target = tmp_path / "out.txt"
+        if existing:
+            target.write_text("an older and longer file\n")
+            target.chmod(0o600)
         previous = os.umask(umask)
         try:
-            write_atomic(str(tmp_path / "out.txt"), "data\n")
+            write_atomic(str(target), "data\n")
         finally:
             os.umask(previous)
-        mode = stat.S_IMODE((tmp_path / "out.txt").stat().st_mode)
+        assert target.read_bytes() == b"data\n"
+        mode = stat.S_IMODE(target.stat().st_mode)
         assert mode == 0o666 & ~umask
+        if existing:
+            with pytest.raises(RuntimeError):
+                with geogami_config.open_atomic(str(target)) as handle:
+                    handle.write("partial")
+                    raise RuntimeError("interrupted")
+            assert target.read_bytes() == b"data\n"
+            assert os.listdir(tmp_path) == ["out.txt"]
 
     def test_corner_count_cross_validation(self):
         config = load_preset("paper-table1")
@@ -340,6 +353,24 @@ class TestFitCli:
         model = json.loads(out.read_text())
         assert model["family"] == "folding_24mm"
         assert model["mean_stiffness_n_per_rad"] == pytest.approx(0.52, abs=1e-9)
+
+    def test_fit_model_bytes(self, tmp_path, capsys):
+        # a degree-3 fit to noisy rows; the digest was recorded when the
+        # mean stiffness still went through numpy's polyval
+        csv_path = tmp_path / "meas.csv"
+        csv_path.write_text(
+            "theta_deg,force_N,return_deg\n"
+            "0,0.0200,0.30\n10,0.1126,1.77\n20,0.1996,3.08\n30,0.2792,4.72\n"
+            "40,0.3523,6.64\n50,0.4216,8.36\n60,0.4906,9.62\n"
+            "70,0.5616,10.77\n80,0.6349,12.28\n90,0.7084,14.04\n"
+            "100,0.7786,15.54\n110,0.8425,16.59\n")
+        out = tmp_path / "model.json"
+        assert main(["fit", str(csv_path), "--family", "folding_24mm",
+                     "--out", str(out)]) == 0
+        assert "max residuals: force 5.084e-03 N, return angle 6.215e-03 rad" \
+            in capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c79320c855a3883a1b982324d7ff764d32acdc67d1669cbdd2c651aabd681c95")
 
     def test_fit_empty_file(self, tmp_path, capsys):
         csv_path = tmp_path / "empty.csv"
@@ -1342,29 +1373,41 @@ class TestStartPose:
             assert "at t = 0.000 s" not in str(exc)
 
 
-# set-up, sweep and gearbox in a fresh interpreter; the next-to-last line
-# reports whether numpy was loaded before and after one simulate run, the
-# last the OpenBLAS thread setting, the thread count and the trace's sha256
+# set-up, sweep and gearbox in a fresh interpreter, for the config file
+# argv[2]; the next-to-last line reports whether numpy was loaded before and
+# after one simulate run, the last the OpenBLAS thread setting, the thread
+# count and the trace's sha256
 _NUMPY_PROBE = """
 import hashlib
 import os
 import sys
 import geogami
 import geogami.cli as cli
-from geogami.config import SIMULATION_MODES, load_preset
-out = sys.argv[1]
-config = load_preset("paper-table1")
+from geogami.config import SIMULATION_MODES, load_config
+from geogami.locomotion import SimulationError
+out, path = sys.argv[1:]
+config = load_config(path)
 config.validate()
 for mode in SIMULATION_MODES:
-    config.build_simulator(mode=mode).timeline()
-assert cli.main(["sweep", "--param", "gearbox.spool_radius_mm",
-                 "--values", "5.5,7", "--out", out]) == 0
-assert cli.main(["gearbox", "--retraction-mm", "25.1"]) == 0
+    try:
+        config.build_simulator(mode=mode).timeline()
+    except SimulationError:
+        # the rocking two-cycle stops the return_angle_limited cyclic run at
+        # 16.2 s, after it has released corners through the joint curves
+        assert (mode, config.program.release_model) == (
+            "cyclic", "return_angle_limited")
+assert cli.main(["sweep", "--config", path, "--param",
+                 "gearbox.spool_radius_mm", "--values", "5.5,7",
+                 "--out", out]) == 0
+assert cli.main(["gearbox", "--config", path, "--retraction-mm", "25.1"]) == 0
 before = "numpy" in sys.modules
-assert cli.main(["simulate", "--duration-s", "1", "--plot", "--out", out]) == 0
+assert cli.main(["simulate", "--config", path, "--duration-s", "1", "--plot",
+                 "--out", out]) == 0
 print("numpy loaded:", before, "numpy" in sys.modules)
-# numpy 2's np.unique imports numpy.ma, which the plot does not need
-assert "numpy.ma" not in sys.modules, "simulate --plot imported numpy.ma"
+# numpy 2's np.unique imports numpy.ma, which the plot does not need; the
+# joint curves are evaluated without numpy.polynomial, and only fit reads csv
+for name in ("numpy.ma", "numpy.polynomial", "csv"):
+    assert name not in sys.modules, f"the probe imported {name}"
 threads = (len(os.listdir("/proc/self/task"))
            if sys.platform.startswith("linux") else None)
 with open(os.path.join(out, "trace_cyclic.csv"), "rb") as trace:
@@ -1383,9 +1426,14 @@ def _bundled_openblas():
 
 
 class TestNumpyImport:
-    def test_only_simulate_imports_numpy(self, tmp_path):
+    @pytest.mark.parametrize("release", [m.value for m in ReleaseModel])
+    def test_only_simulate_imports_numpy(self, tmp_path, release):
         # pytest has loaded numpy already, so the check needs its own process
-        assert main(["simulate", "--duration-s", "1",
+        base = load_preset("paper-table1")
+        path = write_config(tmp_path, dataclasses.replace(
+            base, program=dataclasses.replace(base.program,
+                                              release_model=release)))
+        assert main(["simulate", "--config", path, "--duration-s", "1",
                      "--out", str(tmp_path)]) == 0
         expected = hashlib.sha256(
             (tmp_path / "trace_cyclic.csv").read_bytes()).hexdigest()
@@ -1399,7 +1447,7 @@ class TestNumpyImport:
             out = tmp_path / f"probe-{exported}"
             out.mkdir()
             result = subprocess.run(
-                [sys.executable, "-c", _NUMPY_PROBE, str(out)], env=env,
+                [sys.executable, "-c", _NUMPY_PROBE, str(out), path], env=env,
                 cwd=out, capture_output=True, text=True, timeout=120)
             assert result.returncode == 0, result.stderr
             *_, loaded, blas = result.stdout.splitlines()
