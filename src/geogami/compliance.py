@@ -13,6 +13,7 @@ freely shareable.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -85,7 +86,6 @@ def read_measurement_csv(path: str,
     Degrees in files, radians internally.  Raises MeasurementFormatError
     naming the offending row on malformed input.
     """
-    import csv
     samples: List[Tuple[float, float, float]] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)

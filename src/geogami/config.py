@@ -50,8 +50,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GearboxSpec:
-    """The config file's ``gearbox`` section."""
-
     worm_teeth: int = 43
     driver_teeth: int = 5
     driven_teeth: int = 10
@@ -65,8 +63,6 @@ class GearboxSpec:
 
 @dataclass(frozen=True)
 class MassLayoutSpec:
-    """The config file's ``mass_layout`` section."""
-
     central_mass_kg: float = 0.25
     corner_masses_kg: Tuple[float, ...] = (0.25, 0.25, 0.25, 0.25)
     ray_angles_deg: Tuple[float, ...] = (90.0, 0.0, 270.0, 180.0)
@@ -75,8 +71,6 @@ class MassLayoutSpec:
 
 @dataclass(frozen=True)
 class SideSpec:
-    """One entry of the config file's ``sides`` list."""
-
     origami_joint_stiffness: float = 0.48
     origami_joint_count: int = 5
     skeleton_left: float = 0.6
@@ -88,8 +82,6 @@ class SideSpec:
 
 @dataclass(frozen=True)
 class DampingSpec:
-    """``program.damping_with_origami`` or ``damping_without_origami``."""
-
     frequency_hz: float = 2.5
     damping_ratio: float = 0.10
     amplitude_deg: float = 18.0
@@ -97,15 +89,11 @@ class DampingSpec:
 
 @dataclass(frozen=True)
 class SupportSpec:
-    """The config file's ``support`` section."""
-
     contact_lever_mm: float = 0.0
 
 
 @dataclass(frozen=True)
 class ProgramSpec:
-    """The config file's ``program`` section."""
-
     motor_speed_rad_s: float = 30.0
     duration_s: float = 36.1
     mode: str = "cyclic"
@@ -443,13 +431,9 @@ def load_preset(name: str) -> RunConfig:
 def open_atomic(path: str) -> Iterator[TextIO]:
     """Write a text file via a temp name + rename: readers never see a partial.
 
-    A failure in the ``with`` block removes the temp file and keeps any old
-    target.  The old target is unlinked just before the rename, so the
-    name is briefly absent: on ext4 a rename over a file starts writing
-    the new data out, which took about 0.1 s for a 4.7 MB trace right
-    after another such rename.  Nothing is fsynced.  The file gets the
-    mode ``open`` would give a new file (0666 less the process umask), not
-    the temp file's 0600.
+    A failure in the ``with`` block leaves neither the target nor the temp
+    file.  The file gets the mode ``open`` would give a new file (0666
+    less the process umask), not the private 0600 of the temp file.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -461,10 +445,10 @@ def open_atomic(path: str) -> Iterator[TextIO]:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp_name, 0o666 & ~umask)
-        target.unlink(missing_ok=True)
         os.replace(tmp_name, target)
     except BaseException:
-        Path(tmp_name).unlink(missing_ok=True)
+        if os.path.exists(tmp_name):
+            os.unlink(tmp_name)
         raise
 
 

