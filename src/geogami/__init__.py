@@ -18,7 +18,7 @@ from .kinematics import (BodyState, MassLayout, RadiusInversionError,
                          offset_point, rotation_matrix, world_com)
 from .locomotion import (ActuationProgram, DampingParams, EventKind,
                          ReleaseModel, SimEvent, SimTrace, Simulator,
-                         SupportPolygon, execute_roll, tipping_check)
+                         execute_roll, tipping_check)
 from .transmission import (EngagementSchedule, GearboxConfig,
                            RetractionWindowError, ScheduleMode, cable_force,
                            cable_retraction, driver_angle,

@@ -351,6 +351,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: Sequence[str]) -> List[str]:
+    """``argv`` with each value that starts with ``-`` and a digit or ``.``
+    joined to the long option before it, as ``--range=-90:90:90``.
+
+    argparse reads such a value as an option unless it is a plain negative
+    number, so ``--range -90:90:90`` or ``--duration-s -1e3`` would fail as
+    a missing value.  No geogami option starts with a digit.
+    """
+    joined: List[str] = []
+    for token in argv:
+        option = joined[-1] if joined else ""
+        if option[:2] == "--" and len(option) > 2 and "=" not in option \
+                and token[:1] == "-" and token[1:2] in set("0123456789."):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # OpenBLAS starts a worker thread per core when numpy loads it, about
     # 70 ms of a simulate process on a 2-vCPU host, and geogami makes no
@@ -359,7 +378,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # run or the fit).  A value the user exported still wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (CliError, ConfigError, MeasurementFormatError, SimulationError,

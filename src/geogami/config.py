@@ -24,7 +24,7 @@ from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, TextIO,
 from .compliance import CompositionLaw, SideAssembly
 from .kinematics import MassLayout, lattice_radians
 from .locomotion import (ActuationProgram, DampingParams, ReleaseModel,
-                         SimulationError, Simulator, SupportPolygon)
+                         SimulationError, Simulator)
 from .transmission import EngagementSchedule, GearboxConfig
 
 if TYPE_CHECKING:
@@ -134,7 +134,7 @@ class RunConfig:
         self.build_simulator()
 
     def _check_fields(self) -> None:
-        """The checks that need no builder: schema, counts, names."""
+        """The checks that need no builder: schema, counts, names, signs."""
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"unsupported schema_version {self.schema_version}, "
@@ -155,6 +155,8 @@ class RunConfig:
         if len(layout.corner_masses_kg) != 4 or len(layout.ray_angles_deg) != 4 \
                 or len(layout.rest_radii_mm) != 4:
             raise ConfigError("mass_layout needs 4 corners")
+        if self.support.contact_lever_mm < 0:
+            raise ConfigError("contact lever must be >= 0")
         if self.program.mode not in SIMULATION_MODES:
             raise ConfigError(
                 f"mode must be one of {SIMULATION_MODES}, got {self.program.mode!r}")
@@ -222,12 +224,6 @@ class RunConfig:
                 angular_to_radial=spec.angular_to_radial))
         return tuple(sides)
 
-    def build_polygon(self) -> SupportPolygon:
-        layout = self.build_layout()
-        return SupportPolygon.from_link_endpoints(
-            layout.rest_radii, layout.ray_angles,
-            contact_lever=self.support.contact_lever_mm)
-
     def build_schedule(self) -> EngagementSchedule:
         mode = self.program.mode
         if mode == "cyclic":
@@ -274,7 +270,6 @@ class RunConfig:
             parts = dict(gearbox=config.build_gearbox(),
                          layout=config.build_layout(),
                          sides=config.build_sides(),
-                         polygon=config.build_polygon(),
                          program=config.build_program())
         except ConfigError:
             raise
@@ -284,6 +279,7 @@ class RunConfig:
             _check_finite(value, key)
         start = config.program.initial_roll_deg
         sim = Simulator(**parts,
+                        contact_lever=config.support.contact_lever_mm,
                         composition_law=CompositionLaw(config.composition_law),
                         initial_roll=lattice_radians(math.fmod(start, 360)))
         config._check_stroke(sim)

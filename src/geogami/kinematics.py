@@ -81,6 +81,15 @@ class MassLayout:
             raise ValueError("ray angles must be finite")
         if len({round(a % (2 * math.pi), 12) for a in self.ray_angles}) != 4:
             raise ValueError("ray angles must be distinct")
+        # the ring stands on its feet: they must bound a counterclockwise
+        # polygon of positive area
+        feet = self.feet
+        area2 = 0.0
+        for (x0, y0), (x1, y1) in zip(feet, feet[1:] + feet[:1]):
+            area2 += x0 * y1 - x1 * y0
+        if area2 <= 0:
+            raise ValueError("mass layout corners must span a positive "
+                             "area in ray-angle order")
 
     @property
     def total_mass(self) -> float:
@@ -90,6 +99,14 @@ class MassLayout:
     def ray_units(self) -> Tuple[Tuple[float, float], ...]:
         """Unit vector ``(cos a, sin a)`` of each ray angle."""
         return tuple(unit(a) for a in self.ray_angles)
+
+    @cached_property
+    def feet(self) -> Tuple[Tuple[float, float], ...]:
+        """Corner points ``(r * cos a, r * sin a)`` at the rest radii, in
+        ray-angle order (``a`` mod 2*pi): the ring's ground contacts."""
+        return tuple((r * ux, r * uy) for _, r, (ux, uy) in sorted(zip(
+            [a % (2 * math.pi) for a in self.ray_angles], self.rest_radii,
+            self.ray_units)))
 
 
 def instantaneous_radius(rest_radius: float, contraction: float) -> float:

@@ -190,49 +190,6 @@ class ActuationProgram:
 
 
 @dataclass(frozen=True)
-class SupportPolygon:
-    """Contact-capable points in the body frame; the lowest one is the pivot.
-
-    ``contact_lever`` is the effective horizontal lead of the contact patch
-    (mm): the COM must pass the pivot by this much before a tip, modeling
-    the flattened footprint of the compliant rim.  Zero gives the strict
-    COM-past-vertex test.
-    """
-
-    vertices: Tuple[Tuple[float, float], ...]
-    contact_lever: float = 0.0
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) < 3:
-            raise ValueError("support polygon needs at least 3 vertices")
-        if any(not (math.isfinite(x) and math.isfinite(y))
-               for x, y in self.vertices):
-            raise ValueError("support polygon vertices must be finite")
-        area2 = 0.0
-        n = len(self.vertices)
-        for k in range(n):
-            x0, y0 = self.vertices[k]
-            x1, y1 = self.vertices[(k + 1) % n]
-            area2 += x0 * y1 - x1 * y0
-        if area2 <= 0:
-            raise ValueError("vertices must be ordered counterclockwise")
-        if self.contact_lever < 0:
-            raise ValueError("contact lever must be >= 0")
-
-    @classmethod
-    def from_link_endpoints(cls, radii_values: Sequence[float],
-                            angles: Sequence[float],
-                            contact_lever: float = 0.0) -> "SupportPolygon":
-        """Polygon through the link endpoints, ordered counterclockwise."""
-        vertices = []
-        for _, r, a in sorted((a % (2 * math.pi), r, a)
-                              for r, a in zip(radii_values, angles)):
-            c, s = unit(a)
-            vertices.append((r * c, r * s))
-        return cls(vertices=tuple(vertices), contact_lever=contact_lever)
-
-
-@dataclass(frozen=True)
 class TippingReport:
     """World COM x and ground pivot x, relative to the body center, and
     the tip rule: the body tips once its COM is strictly past one of the
@@ -273,42 +230,47 @@ class TippingReport:
         return -past if self.direction < 0 else past
 
 
-def ground_pivots(polygon: SupportPolygon,
+def ground_pivots(layout: MassLayout,
                   roll_angle: float) -> Tuple[float, float]:
-    """x of the forward and rear ground-contact vertices at a roll angle.
+    """x of the forward and rear ground-contact feet at a roll angle.
 
-    Returns ``(forward x, rear x)`` relative to the body center.  Vertices
+    Returns ``(forward x, rear x)`` relative to the body center.  Feet
     within a relative 1e-9 of the lowest world height all touch the ground,
     as two off-lattice rays mirrored about the vertical may not be level.
     """
     c, s = unit(roll_angle)
+    feet = layout.feet
     min_y = math.inf
-    for vx, vy in polygon.vertices:
+    for vx, vy in feet:
         wy = s * vx + c * vy
         if wy < min_y:
             min_y = wy
     tol = _PIVOT_Y_TOL * max(1.0, abs(min_y))
-    ground = [c * vx - s * vy for vx, vy in polygon.vertices
+    ground = [c * vx - s * vy for vx, vy in feet
               if (s * vx + c * vy) - min_y <= tol]
     if not ground:
-        raise ValueError("degenerate support polygon: pivot undefined")
+        raise ValueError("degenerate mass layout: pivot undefined")
     return max(ground), min(ground)
 
 
 def tipping_check(layout: MassLayout, state: BodyState,
-                  polygon: SupportPolygon) -> TippingReport:
+                  contact_lever: float) -> TippingReport:
     """Compare the world COM against the ground-contact pivots.
 
     All x values are taken relative to the body center, which cancels the
     common R*phi translation; ``TippingReport`` applies the tip rule.
+    ``contact_lever`` is the horizontal lead of the contact patch (mm): the
+    COM must pass the pivot by this much before a tip, modeling the
+    flattened footprint of the compliant rim.  Zero gives the strict
+    COM-past-corner test.
     """
     c, s = unit(state.roll_angle)
     dbx, dby = mass_offset_xy(layout, state.radii)
     com_x = c * dbx - s * dby
     if not math.isfinite(com_x):
         raise ValueError("degenerate state: COM is not finite")
-    return TippingReport(com_x, *ground_pivots(polygon, state.roll_angle),
-                         polygon.contact_lever)
+    return TippingReport(com_x, *ground_pivots(layout, state.roll_angle),
+                         contact_lever)
 
 
 def execute_roll(state: BodyState, direction: int,
@@ -423,7 +385,7 @@ class Simulator:
     """
 
     def __init__(self, gearbox: GearboxConfig, layout: MassLayout,
-                 sides: Sequence[SideAssembly], polygon: SupportPolygon,
+                 sides: Sequence[SideAssembly], contact_lever: float,
                  program: ActuationProgram,
                  composition_law: CompositionLaw = CompositionLaw.ALL_SERIES,
                  initial_roll: float = 0.0) -> None:
@@ -432,7 +394,7 @@ class Simulator:
         self.gearbox = gearbox
         self.layout = layout
         self.sides = tuple(sides)
-        self.polygon = polygon
+        self.contact_lever = contact_lever
         self.program = program
         self.law = composition_law
         self.initial_roll = initial_roll
@@ -562,7 +524,7 @@ class Simulator:
     # -- event machinery ---------------------------------------------------
 
     def _tip_check(self, state: BodyState) -> TippingReport:
-        return tipping_check(self.layout, state, self.polygon)
+        return tipping_check(self.layout, state, self.contact_lever)
 
     def detect_stall(self, state: BodyState) -> Optional[SimEvent]:
         """Tripod-lock check: engaged set fully saturated and still stable.
@@ -859,8 +821,8 @@ class Simulator:
         phi = state.roll_angle
         c, s = unit(phi)
         report = TippingReport(c * dbx - s * dby,
-                               *ground_pivots(self.polygon, phi),
-                               self.polygon.contact_lever)
+                               *ground_pivots(self.layout, phi),
+                               self.contact_lever)
         quiet &= report.direction == 0
         n = len(grid) if quiet.all() else int(np.argmin(quiet))
         return grid[:n], u[:n]

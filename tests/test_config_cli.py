@@ -342,6 +342,14 @@ class TestFitCli:
         assert model["family"] == "folding_24mm"
         assert model["mean_stiffness_n_per_rad"] == pytest.approx(0.52, abs=1e-9)
 
+    def test_an_operand_after_the_end_of_options_stays_one(
+            self, tmp_path, capsys, monkeypatch):
+        # "--" ends the options: "-1.csv" is the input file, not a value
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit", "--", "-1.csv"]) == 2
+        assert capsys.readouterr().err == \
+            "error: [Errno 2] No such file or directory: '-1.csv'\n"
+
     def test_fit_uses_numpy_polyval_values(self, tmp_path, capsys):
         # the model file's coefficients are polyfit's, and its mean
         # stiffness and the reported residuals are numpy's polyval values on
@@ -661,6 +669,40 @@ class TestSweepCli:
         assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == \
             ["0,5,741.416,1.811160,no"]
 
+    def test_bad_contact_lever_fails_only_its_point(self, tmp_path, capsys):
+        assert main(["sweep", "--preset", "paper-table1",
+                     "--param", "support.contact_lever_mm",
+                     "--values=-1,2,nan", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: value -1: contact lever must be >= 0\n"
+            "error: value nan: support.contact_lever_mm must be finite, "
+            "got nan\n")
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == \
+            ["2,4,593.133,1.811160,no"]
+
+    @pytest.mark.parametrize("spelling", [
+        ["--range", "-90:90:90"], ["--range=-90:90:90"],
+        ["--values", "-90,0,90"]])
+    def test_negative_values_reach_their_option(self, tmp_path, capsys,
+                                                spelling):
+        assert main(["sweep", "--preset", "paper-table1",
+                     "--param", "program.initial_roll_deg", *spelling,
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == [
+            "-90,1,148.283,1.811160,no", "0,4,593.133,1.811160,no",
+            "90,3,444.850,1.811160,no"]
+
+    @pytest.mark.parametrize("tail", [["--range"], ["--range", "-h"]])
+    def test_a_missing_value_stays_a_usage_error(self, tmp_path, capsys,
+                                                 tail):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--param", "program.initial_roll_deg",
+                  "--out", str(tmp_path), *tail])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --range: expected one argument\n")
+
     def test_worm_teeth_sweep(self, tmp_path, capsys):
         assert main(["sweep", "--preset", "paper-table1",
                      "--param", "gearbox.worm_teeth", "--values", "40,43,50",
@@ -888,6 +930,8 @@ class TestInputChecks:
         # about 1e18 points
         ["sweep", "--param", "gearbox.spool_radius_mm",
          "--range", "0:1e9:1e-9"],
+        # a negative value that is not a plain number reaches its option
+        ["simulate", "--duration-s", "-1e3"],
     ])
     def test_bad_input_gives_one_error_line(self, tmp_path, capsys, argv):
         code = main(argv + ["--preset", "paper-table1",
@@ -1276,8 +1320,9 @@ class TestStrokeCheck:
         program = dataclasses.replace(
             base.program, motor_speed=10.75, duration=10.0,
             schedule=EngagementSchedule.cyclic(sector_arc=1.0))
-        sim = Simulator(base.gearbox, base.layout, base.sides, base.polygon,
-                        program, base.law, base.initial_roll)
+        sim = Simulator(base.gearbox, base.layout, base.sides,
+                        base.contact_lever, program, base.law,
+                        base.initial_roll)
         assert sim.windows == 2.5
         reach = [0.0] * 4
         for corner, stroke in sim.strokes():
@@ -1489,7 +1534,9 @@ class TestProcessEntry:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--preset", "paper-table1", "--plot"],
         ["sweep", "--param", "gearbox.spool_radius_mm", "--values", "5.5,7"],
-    ], ids=lambda argv: argv[0])
+        ["sweep", "--param", "program.initial_roll_deg",
+         "--range", "-90:90:90"],
+    ], ids=["simulate", "sweep", "sweep-negative-range"])
     def test_outputs_match_main(self, tmp_path, capsys, argv):
         inside, outside = tmp_path / "main", tmp_path / "process"
         assert main(argv + ["--out", str(inside)]) == 0

@@ -23,11 +23,15 @@ GOLDEN_SHA256 = {
 
 # cyclic runs that vary what the four digests above do not: a coarse grid
 # (tips between grid points), the other ring-down overlay, a rolled start
-# (other ground pivots, 3 rolls), a preset whose window is a full turn and
-# a strict COM-past-vertex tip, balanced exactly over the pivot at rest
+# (other ground pivots, 3 rolls), a preset whose window is a full turn, a
+# strict COM-past-vertex tip, balanced exactly over the pivot at rest, and
+# feet off the 45-degree lattice: two mirrored feet that stand level only
+# through the pivot tolerance (no roll), and one backward tip at 21.19 s
 VARIANT_SHA256 = {
     "contact-lever-0": "47f0ba3ab2618a95d9681fb1e0e89c418642adab1a6a104310d5cde7cd5521ee",
     "dt-1e-2": "840cd07100d9e6ec7b1a13be1926549123e50a167fa088e2ad644a2838fb35b1",
+    "mirror-feet": "53d95de4b5714112cddffa1574c849afe913106ca17910d5d0c2220a3d4024a5",
+    "off-lattice-roll": "d305caf66c153fe5b0f28cd15b0a28d1dde8d96095ed0b68594613d979820b8e",
     "origami-off": "cacedd919b8609d64c273b8b3bf751a979956e2eee27cb1c468e7b09c32b8912",
     "initial-roll-90": "7b730918c3eca73e1144086cd9dcbcf80924e4cffd74ccd2f802728b2ef4571d",
     "symmetric-test": "a0d46932cca41c74e12eb5d98d013e7e11b548e3a511d426366c9511090ca914",
@@ -55,12 +59,18 @@ def test_variant_trace_bytes(variant, tmp_path, capsys):
     argv = {"dt-1e-2": ["--preset", "paper-table1", "--dt", "1e-2"],
             "origami-off": ["--preset", "paper-table1", "--origami", "off"],
             "symmetric-test": ["--preset", "symmetric-test"]}.get(variant)
-    changes = {"initial-roll-90": ("program", "initial_roll_deg", 90.0),
-               "contact-lever-0": ("support", "contact_lever_mm", 0.0)}
+    changes = {
+        "initial-roll-90": [("program", "initial_roll_deg", 90.0)],
+        "contact-lever-0": [("support", "contact_lever_mm", 0.0)],
+        "mirror-feet": [("mass_layout", "ray_angles_deg",
+                         [90.0, 0.0, 255.0, 285.0])],
+        "off-lattice-roll": [("mass_layout", "ray_angles_deg",
+                              [95.0, 0.0, 275.0, 180.0]),
+                             ("support", "contact_lever_mm", 10.0)]}
     if variant in changes:
-        section, name, value = changes[variant]
         data = load_preset("paper-table1").to_dict()
-        data[section][name] = value
+        for section, name, value in changes[variant]:
+            data[section][name] = value
         path = tmp_path / "changed.json"
         path.write_text(json.dumps(data))
         argv = ["--config", str(path)]
