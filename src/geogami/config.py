@@ -227,9 +227,7 @@ class RunConfig:
     def build_schedule(self) -> EngagementSchedule:
         mode = self.program.mode
         if mode == "cyclic":
-            return EngagementSchedule.cyclic(
-                sector_arc=math.radians(self.gearbox.sector_arc_deg),
-                first_corner=self.program.first_corner)
+            return EngagementSchedule.cyclic(self.program.first_corner)
         profile = self.program.spindle_profiles.get(mode)
         if profile is None or len(profile) != 4:
             raise ConfigError(

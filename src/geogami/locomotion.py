@@ -391,6 +391,9 @@ class Simulator:
                  initial_roll: float = 0.0) -> None:
         if len(sides) != 4:
             raise ValueError("need 4 side assemblies")
+        if not (math.isfinite(contact_lever) and contact_lever >= 0):
+            raise ValueError(f"contact lever must be finite and >= 0, "
+                             f"got {contact_lever}")
         self.gearbox = gearbox
         self.layout = layout
         self.sides = tuple(sides)
@@ -407,9 +410,9 @@ class Simulator:
         # a cyclic schedule's take-up is all 1.0, and base * 1.0 == base
         self._rates = tuple(base * s / side.routing_gain
                             for s, side in zip(sched.take_up, self.sides))
-        # seconds of one window of the schedule ``_engagement`` walks; a
+        # seconds of one window of the gearbox ``_engagement`` walks; a
         # stopped motor never leaves window 0
-        self._window_s = sched.sector_arc * gearbox.worm_teeth \
+        self._window_s = gearbox.engagement_window_motor \
             / program.motor_speed if program.motor_speed else math.inf
         # corners a fixed spindle always winds; None on the cyclic drive
         self._spindle_corners: Optional[Tuple[int, ...]] = None
@@ -434,8 +437,8 @@ class Simulator:
     def _engagement(self, time: float) -> Tuple[Tuple[int, ...], float]:
         """Corners engaged at ``time``, and the time the engagement changes.
 
-        Cyclic window ``w`` opens at ``window_start(w) * worm_teeth /
-        motor_speed``, the time the engine stops at, so a state at that
+        Cyclic window ``w`` opens at ``gearbox.window_start(w) * worm_teeth
+        / motor_speed``, the time the engine stops at, so a state at that
         time is in window ``w`` and a state one ulp earlier is not.  A
         stopped motor stays in window 0.
         """
@@ -446,9 +449,9 @@ class Simulator:
         if speed == 0:
             return (sched.window_corner(0),), math.inf
         teeth = self.gearbox.worm_teeth
-        start = sched.window_start
+        start = self.gearbox.window_start
         # the driver angle of ``time`` rounds apart from the opening times
-        window = sched.window_at(speed * time / teeth)
+        window = self.gearbox.window_at(speed * time / teeth)
         while start(window) * teeth / speed > time:
             window -= 1
         while (next_opens := start(window + 1) * teeth / speed) <= time:

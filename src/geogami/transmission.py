@@ -35,9 +35,11 @@ class GearboxConfig:
     """Static parameters of the transmission.
 
     The sector arc is the driver-shaft angle over which one corner stays
-    engaged; the default pi/2 makes four corners tile one driver
-    revolution.  ``motor_torque`` is the stall-side torque used for
-    force-capacity reports only; the quasi-static simulation never needs it.
+    engaged, the width of every cyclic window; the default pi/2 makes
+    four corners tile one driver revolution.  Window ``w`` opens at
+    driver angle ``window_start(w)``.  ``motor_torque`` is the stall-side
+    torque used for force-capacity reports only; the quasi-static
+    simulation never needs it.
     Default efficiencies (0.78 worm, 0.90 spur, total ~0.70) are sized so
     a 1.8 N single-wire tension maps to ~2.4e-4 N*m at the motor.
     """
@@ -87,21 +89,28 @@ class GearboxConfig:
         """Motor angle subtended by one engagement window, alpha * T_w."""
         return self.sector_arc * self.worm_teeth
 
+    def window_start(self, window: int) -> float:
+        """Driver angle at which cyclic window ``window`` opens."""
+        return window * self.sector_arc
+
+    def window_at(self, driver_angle: float) -> int:
+        """The cyclic window open at a driver angle, up to rounding at its ends."""
+        return math.floor(driver_angle / self.sector_arc)
+
 
 @dataclass(frozen=True)
 class EngagementSchedule:
     """Which corner the drive is pulling, as a function of driver angle.
 
     ``cyclic_sector`` mode engages exactly one corner at a time in fixed
-    ring order, each window spanning ``sector_arc`` radians of driver
-    angle, consecutively (period 4 * sector_arc).  Window ``w``
-    opens at driver angle ``window_start(w)`` and engages ``window_corner(w)``.
+    ring order, starting at ``first_corner``.  The gearbox's sector arc
+    sets where windows open (``GearboxConfig.window_start``); the schedule
+    only orders the corners, so window ``w`` engages ``window_corner(w)``.
     ``fixed_spindle`` mode engages all corners simultaneously, each with a
     dimensionless take-up rate multiplier.
     """
 
     mode: ScheduleMode
-    sector_arc: float = math.pi / 2
     first_corner: int = 4
     take_up: Tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
 
@@ -109,8 +118,6 @@ class EngagementSchedule:
         if len(self.take_up) != 4:
             raise ValueError("take_up needs one multiplier per corner")
         if self.mode is ScheduleMode.CYCLIC_SECTOR:
-            if self.sector_arc <= 0:
-                raise ValueError("sector_arc must be > 0")
             if not 1 <= self.first_corner <= 4:
                 raise ValueError("first_corner must be in 1..4")
             if any(s != 1.0 for s in self.take_up):
@@ -119,15 +126,13 @@ class EngagementSchedule:
             raise ValueError("take_up multipliers must be >= 0")
 
     @classmethod
-    def cyclic(cls, sector_arc: float,
-               first_corner: int = 4) -> "EngagementSchedule":
+    def cyclic(cls, first_corner: int = 4) -> "EngagementSchedule":
         """Sector-gear schedule: one corner at a time in ring order.
 
         The default ``first_corner=4`` starts the cycle on the corner at
         world -x in the canonical rest pose, so rolls advance along +x.
         """
-        return cls(mode=ScheduleMode.CYCLIC_SECTOR, sector_arc=sector_arc,
-                   first_corner=first_corner)
+        return cls(mode=ScheduleMode.CYCLIC_SECTOR, first_corner=first_corner)
 
     @classmethod
     def spindle(cls, take_up: Sequence[float]) -> "EngagementSchedule":
@@ -140,14 +145,16 @@ class EngagementSchedule:
         """All corners permanently engaged at unit rate (chi = 1 throughout)."""
         return cls.spindle((1.0,) * 4)
 
-    def chi(self, driver_angle: float, corner: int) -> int:
+    def chi(self, driver_angle: float, corner: int,
+            gearbox: GearboxConfig) -> int:
         """Engagement indicator chi_i at a given driver angle."""
         _check_corner(corner)
         if self.mode is ScheduleMode.FIXED_SPINDLE:
             return 1 if self.take_up[corner - 1] > 0 else 0
-        return 1 if self.active_corner(driver_angle) == corner else 0
+        return 1 if self.active_corner(driver_angle, gearbox) == corner else 0
 
-    def engaged_driver_angle(self, driver_angle: float, corner: int) -> float:
+    def engaged_driver_angle(self, driver_angle: float, corner: int,
+                             gearbox: GearboxConfig) -> float:
         """Accumulated driver angle spent engaged with a corner, from zero.
 
         Signed: the integral of chi_i over [0, driver_angle].  For
@@ -157,7 +164,7 @@ class EngagementSchedule:
         _check_corner(corner)
         if self.mode is ScheduleMode.FIXED_SPINDLE:
             return self.take_up[corner - 1] * driver_angle
-        arc = self.sector_arc
+        arc = gearbox.sector_arc
         period = 4 * arc
         n_full = math.floor(driver_angle / period)
         rem = driver_angle - period * n_full
@@ -165,35 +172,16 @@ class EngagementSchedule:
         inside = min(max(rem - slot * arc, 0.0), arc)
         return n_full * arc + inside
 
-    def engaged_motor_angle(self, motor_angle: float, worm_teeth: int,
-                            corner: int) -> float:
-        """Accumulated motor angle spent engaged with a corner.
-
-        Kept in the motor domain so the all-engaged case reduces exactly
-        (in floating point too) to theta_m itself.
-        """
-        _check_corner(corner)
-        if self.mode is ScheduleMode.FIXED_SPINDLE:
-            return self.take_up[corner - 1] * motor_angle
-        return worm_teeth * self.engaged_driver_angle(motor_angle / worm_teeth, corner)
-
-    def window_start(self, window: int) -> float:
-        """Driver angle at which cyclic window ``window`` opens."""
-        return window * self.sector_arc
-
-    def window_at(self, driver_angle: float) -> int:
-        """The cyclic window open at a driver angle, up to rounding at its ends."""
-        return math.floor(driver_angle / self.sector_arc)
-
     def window_corner(self, window: int) -> int:
         """The corner cyclic window ``window`` engages, in ring order."""
         return (self.first_corner - 1 + window) % 4 + 1
 
-    def active_corner(self, driver_angle: float) -> Optional[int]:
+    def active_corner(self, driver_angle: float,
+                      gearbox: GearboxConfig) -> Optional[int]:
         """The engaged corner at a driver angle; None for fixed-spindle mode."""
         if self.mode is ScheduleMode.FIXED_SPINDLE:
             return None
-        return self.window_corner(self.window_at(driver_angle))
+        return self.window_corner(gearbox.window_at(driver_angle))
 
 
 def driver_angle(motor_angle: float, cfg: GearboxConfig) -> float:
@@ -207,9 +195,16 @@ def spool_angle(motor_angle: float, corner: int, schedule: EngagementSchedule,
 
     Equals chi_i * theta_m * T_dr / (T_dv * T_w) over any interval of
     constant engagement; the schedule supplies the accumulated engaged
-    measure so engagement may toggle within a cycle.
+    measure so engagement may toggle within a cycle.  A spindle's measure
+    is kept in the motor domain so the all-engaged case reduces exactly
+    (in floating point too) to theta_m itself.
     """
-    engaged = schedule.engaged_motor_angle(motor_angle, cfg.worm_teeth, corner)
+    _check_corner(corner)
+    if schedule.mode is ScheduleMode.FIXED_SPINDLE:
+        engaged = schedule.take_up[corner - 1] * motor_angle
+    else:
+        engaged = cfg.worm_teeth * schedule.engaged_driver_angle(
+            motor_angle / cfg.worm_teeth, corner, cfg)
     return engaged * cfg.driver_teeth / (cfg.driven_teeth * cfg.worm_teeth)
 
 

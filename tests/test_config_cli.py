@@ -28,7 +28,7 @@ from geogami.config import (SIMULATION_MODES, ConfigError, RunConfig,
 from geogami.kinematics import RadiusInversionError
 from geogami.locomotion import (EventKind, ReleaseModel, SimTrace,
                                 SimulationError, Simulator)
-from geogami.transmission import EngagementSchedule
+from geogami.transmission import cable_retraction, spool_angle
 
 
 def write_config(tmp_path, config, name="run.json"):
@@ -669,16 +669,28 @@ class TestSweepCli:
         assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == \
             ["0,5,741.416,1.811160,no"]
 
-    def test_bad_contact_lever_fails_only_its_point(self, tmp_path, capsys):
-        assert main(["sweep", "--preset", "paper-table1",
-                     "--param", "support.contact_lever_mm",
-                     "--values=-1,2,nan", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: value -1: contact lever must be >= 0\n"
-            "error: value nan: support.contact_lever_mm must be finite, "
-            "got nan\n")
-        assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == \
-            ["2,4,593.133,1.811160,no"]
+    @pytest.mark.parametrize("param, values, errors, rows", [
+        ("support.contact_lever_mm", "-1,2,nan",
+         "error: value -1: contact lever must be >= 0\n"
+         "error: value nan: support.contact_lever_mm must be finite, "
+         "got nan\n",
+         ["2,4,593.133,1.811160,no"]),
+        # the gearbox's (0, 2*pi] check is the only check of the arc
+        ("gearbox.sector_arc_deg", "-90,0,90,180,360,400,nan",
+         "".join(f"error: value {value}: sector_arc must be in (0, 2*pi], "
+                 f"got {radians}\n" for value, radians in (
+                     ("-90", -1.5707963267948966), ("0", 0.0),
+                     ("400", 6.981317007977318), ("nan", math.nan))),
+         ["90,0,0.000,1.811160,no", "180,0,0.000,1.811160,no",
+          "360,4,593.133,1.811160,no"]),
+    ], ids=["contact-lever", "sector-arc"])
+    def test_bad_contact_lever_fails_only_its_point(self, tmp_path, capsys,
+                                                    param, values, errors,
+                                                    rows):
+        assert main(["sweep", "--preset", "paper-table1", "--param", param,
+                     f"--values={values}", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == errors
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == rows
 
     @pytest.mark.parametrize("spelling", [
         ["--range", "-90:90:90"], ["--range=-90:90:90"],
@@ -1312,17 +1324,44 @@ class TestStrokeCheck:
         pulled = (trace.columns[:, 5:9] / gains).max(axis=0)
         assert (pulled <= np.array(reach) + 1e-9).all(), (pulled, reach)
 
+    @settings(deadline=None)
+    @given(spool=st.floats(1.0, 40.0), worm=st.integers(1, 80),
+           driver=st.integers(1, 30), driven=st.integers(1, 30),
+           arc_deg=st.floats(10.0, 360.0), speed=st.floats(0.1, 100.0))
+    def test_first_stroke_is_the_gearbox_chain(self, spool, worm, driver,
+                                               driven, arc_deg, speed):
+        # the engine's winding rate times its window, against one window
+        # of motor angle through the transmission functions
+        config = load_preset("paper-table1")
+        config = dataclasses.replace(
+            self.with_program(config, motor_speed_rad_s=speed,
+                              duration_s=2 * math.radians(arc_deg) * worm
+                              / speed),
+            gearbox=dataclasses.replace(
+                config.gearbox, spool_radius_mm=spool, worm_teeth=worm,
+                driver_teeth=driver, driven_teeth=driven,
+                sector_arc_deg=arc_deg))
+        try:
+            sim = config.build_simulator()
+        except ConfigError:
+            return
+        corner, reach = next(sim.strokes())
+        gearbox = sim.gearbox
+        chain = cable_retraction(
+            spool_angle(gearbox.engagement_window_motor, corner,
+                        sim.program.schedule, gearbox),
+            gearbox) / sim.sides[corner - 1].routing_gain
+        assert reach == pytest.approx(chain, rel=1e-12, abs=0)
+
     def test_strokes_walk_the_schedules_windows(self):
-        # the preset's gearbox turns a full 2*pi sector, the schedule a
-        # 1 rad one: at 10.75 rad/s a window opens every 1 * 43 / 10.75 =
-        # 4 s, so a 10 s run winds corners 4, 1 and 2
+        # a 1 rad sector at 10.75 rad/s opens a window every
+        # 1 * 43 / 10.75 = 4 s, so a 10 s run winds corners 4, 1 and 2
         base = load_preset("paper-table1").build_simulator()
-        program = dataclasses.replace(
-            base.program, motor_speed=10.75, duration=10.0,
-            schedule=EngagementSchedule.cyclic(sector_arc=1.0))
-        sim = Simulator(base.gearbox, base.layout, base.sides,
-                        base.contact_lever, program, base.law,
-                        base.initial_roll)
+        program = dataclasses.replace(base.program, motor_speed=10.75,
+                                      duration=10.0)
+        sim = Simulator(dataclasses.replace(base.gearbox, sector_arc=1.0),
+                        base.layout, base.sides, base.contact_lever, program,
+                        base.law, base.initial_roll)
         assert sim.windows == 2.5
         reach = [0.0] * 4
         for corner, stroke in sim.strokes():

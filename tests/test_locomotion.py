@@ -26,16 +26,19 @@ LEVER = CONFIG.support.contact_lever_mm
 WINDOW_S = 2 * math.pi * 43 / 30.0  # one engagement window at 30 rad/s
 
 
-def simulator(duration=None, mode=None, origami=None, **program_overrides):
+def simulator(duration=None, mode=None, origami=None, sector_arc=None,
+              **program_overrides):
     config = CONFIG
     if duration is not None:
         config = dataclasses.replace(
             config, program=dataclasses.replace(config.program,
                                                 duration_s=duration))
     sim = config.build_simulator(mode=mode, origami=origami)
-    if program_overrides:
+    if sector_arc is not None or program_overrides:
+        gearbox = sim.gearbox if sector_arc is None \
+            else dataclasses.replace(sim.gearbox, sector_arc=sector_arc)
         program = dataclasses.replace(sim.program, **program_overrides)
-        sim = Simulator(sim.gearbox, sim.layout, sim.sides, sim.contact_lever,
+        sim = Simulator(gearbox, sim.layout, sim.sides, sim.contact_lever,
                         program, sim.law, sim.initial_roll)
     return sim
 
@@ -238,12 +241,13 @@ class TestStep:
            first=st.integers(1, 4), window=st.integers(1, 10_000))
     def test_window_opens_at_the_engine_stop_time(self, speed, arc, first,
                                                   window):
-        sched = EngagementSchedule.cyclic(sector_arc=arc, first_corner=first)
-        sim = simulator(motor_speed=speed, schedule=sched)
-        teeth = sim.gearbox.worm_teeth
+        sched = EngagementSchedule.cyclic(first_corner=first)
+        sim = simulator(sector_arc=arc, motor_speed=speed, schedule=sched)
+        gearbox = sim.gearbox
+        teeth = gearbox.worm_teeth
 
         def opens(w):
-            return sched.window_start(w) * teeth / speed
+            return gearbox.window_start(w) * teeth / speed
 
         t = opens(window)
         assert sim._engagement(t) == ((sched.window_corner(window),),
@@ -252,7 +256,7 @@ class TestStep:
             (sched.window_corner(window - 1),), t)
         mid = 0.5 * (t + opens(window + 1))
         assert sim._engagement(mid)[0] == (
-            sched.active_corner(speed * mid / teeth),)
+            sched.active_corner(speed * mid / teeth, gearbox),)
 
     def test_tip_on_a_window_boundary_still_closes_the_window(self):
         # at the 7.5 mm spool the COM lead steps up at the end of the first
@@ -261,7 +265,7 @@ class TestStep:
         sim = simulator()
         sim = Simulator(dataclasses.replace(sim.gearbox, spool_radius=7.5),
                         LAYOUT, sim.sides, LEVER, sim.program, sim.law)
-        boundary = sim.program.schedule.window_start(1) * 43 / 30.0
+        boundary = sim.gearbox.window_start(1) * 43 / 30.0
         before = math.nextafter(boundary, -math.inf)
         end_of_window = BodyState.from_contractions(
             LAYOUT, (0.0, 0.0, 0.0, sim._rates[3] * before), time=before)
@@ -666,12 +670,21 @@ class TestProgramValidation:
     def test_roll_quantum_by_mode(self):
         cyclic = ActuationProgram(
             motor_speed=1.0, duration=1.0,
-            schedule=EngagementSchedule.cyclic(sector_arc=1.0))
+            schedule=EngagementSchedule.cyclic())
         spindle = ActuationProgram(
             motor_speed=1.0, duration=1.0,
             schedule=EngagementSchedule.spindle((1, 1, 1, 1)))
         assert cyclic.roll_quantum == math.pi / 2
         assert spindle.roll_quantum == math.pi / 4
+
+    @pytest.mark.parametrize("lever", [math.nan, math.inf, -1.0])
+    def test_simulator_refuses_a_bad_contact_lever(self, lever):
+        # nan never tips and inf puts both tip limits at infinity: each
+        # would run to a silent no-roll trace
+        with pytest.raises(ValueError,
+                           match="contact lever must be finite and >= 0"):
+            Simulator(CONFIG.build_gearbox(), LAYOUT, CONFIG.build_sides(),
+                      lever, CONFIG.build_program())
 
     def test_simulator_needs_four_sides(self):
         with pytest.raises(ValueError, match="4 side"):
@@ -976,8 +989,7 @@ class TestRunMatchesStepFold:
     def test_grid_point_on_a_window_boundary(self):
         # a 1 rad sector at 10.75 rad/s through T_w = 43 opens a window
         # every 4 s, on the 0.25 s grid
-        sim = simulator(duration=10.0, motor_speed=10.75,
-                        schedule=EngagementSchedule.cyclic(sector_arc=1.0))
+        sim = simulator(duration=10.0, sector_arc=1.0, motor_speed=10.75)
         trace = sim.run(dt=0.25)
         assert [(e.token(), e.time) for e in trace.events[1:]] == [
             ("engagement_end:4", 4.0), ("engagement_start:1", 4.0),

@@ -1,5 +1,6 @@
 """Gearbox kinematics and torque chain."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,12 +21,17 @@ TABLE = GearboxConfig(worm_teeth=43, driver_teeth=5, driven_teeth=10,
 CONSTANT = EngagementSchedule.constant()
 
 
-def numeric_engaged_angle(schedule, theta_d, corner, n=200_000):
+def with_arc(sector_arc):
+    """TABLE's gearbox with another sector arc."""
+    return dataclasses.replace(TABLE, sector_arc=sector_arc)
+
+
+def numeric_engaged_angle(schedule, theta_d, corner, gearbox, n=200_000):
     """Independent oracle: midpoint quadrature of the engagement indicator."""
     if theta_d == 0:
         return 0.0
     grid = np.linspace(0.0, theta_d, n, endpoint=False) + theta_d / (2 * n)
-    chi = np.array([schedule.chi(float(td), corner) for td in grid])
+    chi = np.array([schedule.chi(float(td), corner, gearbox) for td in grid])
     return float(np.sum(chi) * theta_d / n)
 
 
@@ -52,10 +58,10 @@ class TestSpoolAngle:
             1.0, rel=1e-12)
 
     def test_disengaged_corner_stays_zero(self):
-        sched = EngagementSchedule.cyclic(sector_arc=math.pi / 2)
+        sched = EngagementSchedule.cyclic()
         # within the first window only the first corner winds
         theta_m = 0.3 * (math.pi / 2) * 43
-        assert spool_angle(theta_m, 2, sched, TABLE) == 0.0
+        assert spool_angle(theta_m, 2, sched, with_arc(math.pi / 2)) == 0.0
 
     def test_invalid_corner(self):
         with pytest.raises(ValueError, match="corner"):
@@ -66,10 +72,11 @@ class TestSpoolAngle:
 
 class TestEngagementSchedule:
     def test_cyclic_ring_order(self):
-        sched = EngagementSchedule.cyclic(sector_arc=math.pi / 2,
-                                          first_corner=4)
+        sched = EngagementSchedule.cyclic(first_corner=4)
         arc = math.pi / 2
-        seen = [sched.active_corner(arc * (k + 0.5)) for k in range(8)]
+        gearbox = with_arc(arc)
+        seen = [sched.active_corner(arc * (k + 0.5), gearbox)
+                for k in range(8)]
         assert seen == [4, 1, 2, 3, 4, 1, 2, 3]
 
     def test_cyclic_take_up_is_unit(self):
@@ -78,32 +85,37 @@ class TestEngagementSchedule:
                                take_up=(2.0, 1.0, 1.0, 1.0))
 
     def test_cyclic_exclusivity(self):
-        sched = EngagementSchedule.cyclic(sector_arc=1.1)
+        sched = EngagementSchedule.cyclic()
+        gearbox = with_arc(1.1)
         rng = np.random.default_rng(7)
         for theta_d in rng.uniform(0, 40, size=200):
-            total = sum(sched.chi(theta_d, c) for c in range(1, 5))
+            total = sum(sched.chi(theta_d, c, gearbox) for c in range(1, 5))
             assert total <= 1
             assert total == 1  # consecutive windows leave no gap
 
     def test_accumulation_matches_quadrature(self):
-        sched = EngagementSchedule.cyclic(sector_arc=0.8, first_corner=2)
+        sched = EngagementSchedule.cyclic(first_corner=2)
+        gearbox = with_arc(0.8)
         for corner in (1, 2, 4):
             for theta_d in (0.3, 2.5, 7.9):
-                exact = sched.engaged_driver_angle(theta_d, corner)
-                approx = numeric_engaged_angle(sched, theta_d, corner, n=40_000)
+                exact = sched.engaged_driver_angle(theta_d, corner, gearbox)
+                approx = numeric_engaged_angle(sched, theta_d, corner,
+                                               gearbox, n=40_000)
                 assert exact == pytest.approx(approx, abs=2e-3)
 
     def test_spindle_profile_scales_measure(self):
         sched = EngagementSchedule.spindle((1.0, 0.5, 0.0, 2.0))
-        assert sched.engaged_driver_angle(3.0, 2) == pytest.approx(1.5)
-        assert sched.engaged_driver_angle(3.0, 3) == 0.0
-        assert sched.chi(1.0, 3) == 0
+        assert sched.engaged_driver_angle(3.0, 2, TABLE) == pytest.approx(1.5)
+        assert sched.engaged_driver_angle(3.0, 3, TABLE) == 0.0
+        assert sched.chi(1.0, 3, TABLE) == 0
 
     def test_monotone_when_engaged_constant_when_not(self):
-        sched = EngagementSchedule.cyclic(sector_arc=1.3, first_corner=1)
+        sched = EngagementSchedule.cyclic(first_corner=1)
+        gearbox = with_arc(1.3)
         thetas = np.linspace(0, 30, 700)
         for corner in range(1, 5):
-            values = [sched.engaged_driver_angle(t, corner) for t in thetas]
+            values = [sched.engaged_driver_angle(t, corner, gearbox)
+                      for t in thetas]
             diffs = np.diff(values)
             assert np.all(diffs >= -1e-12)
 
