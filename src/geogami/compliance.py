@@ -258,16 +258,17 @@ class SideAssembly:
     angular_to_radial: float = 1.0
 
     def __post_init__(self) -> None:
-        if any(k <= 0 for k in self.origami_chain):
-            raise ValueError("origami joint stiffnesses must be > 0")
-        if self.skeleton_left <= 0 or self.skeleton_right <= 0:
-            raise ValueError("skeleton stiffnesses must be > 0")
-        if self.cable_stiffness <= 0:
+        if not all(0 < k < math.inf for k in self.origami_chain):
+            raise ValueError("origami joint stiffnesses must be finite and > 0")
+        if not (0 < self.skeleton_left < math.inf
+                and 0 < self.skeleton_right < math.inf):
+            raise ValueError("skeleton stiffnesses must be finite and > 0")
+        if not self.cable_stiffness > 0:
             raise ValueError("cable stiffness must be > 0 (inf = inextensible)")
-        if self.routing_gain <= 0:
-            raise ValueError("routing gain must be > 0")
-        if self.angular_to_radial <= 0:
-            raise ValueError("angular_to_radial must be > 0")
+        if not 0 < self.routing_gain < math.inf:
+            raise ValueError("routing gain must be finite and > 0")
+        if not 0 < self.angular_to_radial < math.inf:
+            raise ValueError("angular_to_radial must be finite and > 0")
 
     @property
     def origami_stiffness(self) -> Optional[float]:

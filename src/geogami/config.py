@@ -4,6 +4,7 @@ The config file is a single versioned JSON document.  Angles are degrees
 in files and at the CLI; the builders convert to radians, so conversion
 happens at the boundary only.  The dataclasses below mirror the file
 (degrees included), which makes parse -> serialize -> parse an identity.
+Their defaults read the defaults of the domain types they build.
 
 Presets ship inside the package; the ``GEOGAMI_PRESET_DIR`` environment
 variable overrides their location.
@@ -50,41 +51,41 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GearboxSpec:
-    worm_teeth: int = 43
-    driver_teeth: int = 5
-    driven_teeth: int = 10
-    spool_radius_mm: float = 8.0
-    sector_arc_deg: float = 90.0
-    efficiency_worm: float = 0.78
-    efficiency_spur: float = 0.90
-    corner_count: int = 4
-    motor_torque_nm: float = 2.4e-4
+    worm_teeth: int = GearboxConfig.worm_teeth
+    driver_teeth: int = GearboxConfig.driver_teeth
+    driven_teeth: int = GearboxConfig.driven_teeth
+    spool_radius_mm: float = GearboxConfig.spool_radius
+    sector_arc_deg: float = math.degrees(GearboxConfig.sector_arc)
+    efficiency_worm: float = GearboxConfig.efficiency_worm
+    efficiency_spur: float = GearboxConfig.efficiency_spur
+    motor_torque_nm: float = GearboxConfig.motor_torque
 
 
 @dataclass(frozen=True)
 class MassLayoutSpec:
-    central_mass_kg: float = 0.25
-    corner_masses_kg: Tuple[float, ...] = (0.25, 0.25, 0.25, 0.25)
-    ray_angles_deg: Tuple[float, ...] = (90.0, 0.0, 270.0, 180.0)
-    rest_radii_mm: Tuple[float, ...] = (94.4, 94.4, 94.4, 94.4)
+    central_mass_kg: float = MassLayout.central_mass
+    corner_masses_kg: Tuple[float, ...] = MassLayout.corner_masses
+    ray_angles_deg: Tuple[float, ...] = tuple(
+        map(math.degrees, MassLayout.ray_angles))
+    rest_radii_mm: Tuple[float, ...] = MassLayout.rest_radii
 
 
 @dataclass(frozen=True)
 class SideSpec:
-    origami_joint_stiffness: float = 0.48
-    origami_joint_count: int = 5
-    skeleton_left: float = 0.6
-    skeleton_right: float = 0.6
+    origami_joint_stiffness: float = SideAssembly.origami_chain[0]
+    origami_joint_count: int = len(SideAssembly.origami_chain)
+    skeleton_left: float = SideAssembly.skeleton_left
+    skeleton_right: float = SideAssembly.skeleton_right
     cable_stiffness: Optional[float] = None   # None = inextensible
-    routing_gain: float = 1.0
-    angular_to_radial: float = 1.0
+    routing_gain: float = SideAssembly.routing_gain
+    angular_to_radial: float = SideAssembly.angular_to_radial
 
 
 @dataclass(frozen=True)
 class DampingSpec:
-    frequency_hz: float = 2.5
-    damping_ratio: float = 0.10
-    amplitude_deg: float = 18.0
+    frequency_hz: float = DampingParams.frequency_hz
+    damping_ratio: float = DampingParams.damping_ratio
+    amplitude_deg: float = math.degrees(DampingParams.amplitude_rad)
 
 
 @dataclass(frozen=True)
@@ -97,11 +98,11 @@ class ProgramSpec:
     motor_speed_rad_s: float = 30.0
     duration_s: float = 36.1
     mode: str = "cyclic"
-    first_corner: int = 4
+    first_corner: int = EngagementSchedule.first_corner
     initial_roll_deg: float = 0.0
     max_contraction_mm: Optional[float] = None
     spindle_max_contraction_mm: float = 25.1
-    release_model: str = "instant_return"
+    release_model: str = ActuationProgram.release_model.value
     origami: bool = True
     spindle_profiles: Dict[str, Tuple[float, ...]] = field(default_factory=lambda: {
         "pyramid": (1.0, 0.75, 0.5, 0.25),
@@ -109,7 +110,7 @@ class ProgramSpec:
         "spindle10": (1.1, 1.0, 0.9, 1.0),
     })
     damping_with_origami: DampingSpec = DampingSpec(2.2, 0.35, 12.0)
-    damping_without_origami: DampingSpec = DampingSpec(2.5, 0.10, 18.0)
+    damping_without_origami: DampingSpec = DampingSpec()
     allow_damping_override: bool = False
 
 
@@ -142,8 +143,6 @@ class RunConfig:
         if self.composition_law not in ("A", "B"):
             raise ConfigError(
                 f"composition_law must be 'A' or 'B', got {self.composition_law!r}")
-        if self.gearbox.corner_count != 4:
-            raise ConfigError("gearbox.corner_count must be 4")
         if len(self.sides) != 4:
             raise ConfigError(f"need 4 sides, got {len(self.sides)}")
         for k, side in enumerate(self.sides):
@@ -263,6 +262,8 @@ class RunConfig:
                    (("mode", mode), ("origami", origami)) if value is not None}
         config = replace(self, program=replace(self.program, **changes))
         config._check_fields()
+        for key, value in asdict(config).items():
+            _check_finite(value, key)
         # builders run the per-field range checks of the domain types
         try:
             parts = dict(gearbox=config.build_gearbox(),
@@ -273,8 +274,6 @@ class RunConfig:
             raise
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for key, value in asdict(config).items():
-            _check_finite(value, key)
         start = config.program.initial_roll_deg
         sim = Simulator(**parts,
                         contact_lever=config.support.contact_lever_mm,

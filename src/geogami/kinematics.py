@@ -66,17 +66,17 @@ class MassLayout:
     rest_radii: Tuple[float, float, float, float] = (94.4, 94.4, 94.4, 94.4)
 
     def __post_init__(self) -> None:
-        if self.central_mass < 0:
-            raise ValueError("central mass must be >= 0")
+        if not 0 <= self.central_mass < math.inf:
+            raise ValueError("central mass must be finite and >= 0")
         if len(self.corner_masses) != 4 or len(self.ray_angles) != 4 \
                 or len(self.rest_radii) != 4:
             raise ValueError("layout needs exactly 4 corners")
-        if any(m < 0 for m in self.corner_masses):
-            raise ValueError("corner masses must be >= 0")
+        if not all(0 <= m < math.inf for m in self.corner_masses):
+            raise ValueError("corner masses must be finite and >= 0")
         if self.total_mass <= 0:
             raise ValueError("total mass must be > 0")
-        if any(r <= 0 for r in self.rest_radii):
-            raise ValueError("rest radii must be > 0")
+        if not all(0 < r < math.inf for r in self.rest_radii):
+            raise ValueError("rest radii must be finite and > 0")
         if not all(map(math.isfinite, self.ray_angles)):
             raise ValueError("ray angles must be finite")
         if len({round(a % (2 * math.pi), 12) for a in self.ray_angles}) != 4:

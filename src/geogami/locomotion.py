@@ -105,12 +105,12 @@ class DampingParams:
     amplitude_rad: float = math.radians(18.0)
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency must be > 0")
+        if not 0 < self.frequency_hz < math.inf:
+            raise ValueError("frequency must be finite and > 0")
         if not 0 <= self.damping_ratio <= 1:
             raise ValueError("damping ratio must be in [0, 1]")
-        if self.amplitude_rad < 0:
-            raise ValueError("amplitude must be >= 0")
+        if not 0 <= self.amplitude_rad < math.inf:
+            raise ValueError("amplitude must be finite and >= 0")
 
     def overlay(self, dt_since_roll: np.ndarray) -> np.ndarray:
         """Damped sinusoid values at time offsets after a roll; 0 up to it.
@@ -178,8 +178,9 @@ class ActuationProgram:
         if not (math.isfinite(self.duration) and self.duration >= 0):
             raise ValueError(f"duration must be finite and >= 0, "
                              f"got {self.duration}")
-        if self.max_contraction is not None and self.max_contraction <= 0:
-            raise ValueError("max_contraction must be > 0 or None")
+        if self.max_contraction is not None \
+                and not 0 < self.max_contraction < math.inf:
+            raise ValueError("max_contraction must be finite and > 0, or None")
 
     @property
     def roll_quantum(self) -> float:

@@ -58,16 +58,17 @@ class GearboxConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if self.spool_radius <= 0:
-            raise ValueError(f"spool_radius must be > 0, got {self.spool_radius}")
+        if not 0 < self.spool_radius < math.inf:
+            raise ValueError(f"spool_radius must be finite and > 0, "
+                             f"got {self.spool_radius}")
         if not 0 < self.sector_arc <= 2 * math.pi:
             raise ValueError(f"sector_arc must be in (0, 2*pi], got {self.sector_arc}")
         for name in ("efficiency_worm", "efficiency_spur"):
             value = getattr(self, name)
             if not 0 < value <= 1:
                 raise ValueError(f"{name} must be in (0, 1], got {value}")
-        if self.motor_torque < 0:
-            raise ValueError("motor_torque must be >= 0")
+        if not 0 <= self.motor_torque < math.inf:
+            raise ValueError("motor_torque must be finite and >= 0")
 
     @property
     def efficiency(self) -> float:
@@ -122,8 +123,8 @@ class EngagementSchedule:
                 raise ValueError("first_corner must be in 1..4")
             if any(s != 1.0 for s in self.take_up):
                 raise ValueError("a cyclic schedule winds at unit take-up")
-        elif any(s < 0 for s in self.take_up):
-            raise ValueError("take_up multipliers must be >= 0")
+        elif not all(0 <= s < math.inf for s in self.take_up):
+            raise ValueError("take_up multipliers must be finite and >= 0")
 
     @classmethod
     def cyclic(cls, first_corner: int = 4) -> "EngagementSchedule":

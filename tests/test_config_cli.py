@@ -25,10 +25,12 @@ from geogami.cli import CliError, _sweep_values, main
 from geogami.config import (SIMULATION_MODES, ConfigError, RunConfig,
                             available_presets, load_config, load_preset,
                             write_atomic)
-from geogami.kinematics import RadiusInversionError
-from geogami.locomotion import (EventKind, ReleaseModel, SimTrace,
-                                SimulationError, Simulator)
-from geogami.transmission import cable_retraction, spool_angle
+from geogami.compliance import SideAssembly
+from geogami.kinematics import MassLayout, RadiusInversionError
+from geogami.locomotion import (DampingParams, EventKind, ReleaseModel,
+                                SimTrace, SimulationError, Simulator)
+from geogami.transmission import (EngagementSchedule, GearboxConfig,
+                                  cable_retraction, spool_angle)
 
 
 def write_config(tmp_path, config, name="run.json"):
@@ -50,6 +52,18 @@ def _leaf_paths(node, path=()):
 class TestConfig:
     def test_presets_ship(self):
         assert {"paper-table1", "symmetric-test"} <= set(available_presets())
+
+    def test_spec_defaults_build_the_domain_defaults(self):
+        # the specs read these defaults in file units: degrees, and None
+        # for an inextensible cable
+        config = RunConfig()
+        assert config.build_gearbox() == GearboxConfig()
+        assert config.build_layout() == MassLayout()
+        assert config.build_sides() == (SideAssembly(),) * 4
+        assert config.build_schedule() == EngagementSchedule.cyclic()
+        without = dataclasses.replace(config, program=dataclasses.replace(
+            config.program, origami=False))
+        assert without.build_program().damping == DampingParams()
 
     def test_preset_loads_and_validates(self):
         config = load_preset("paper-table1")
@@ -109,17 +123,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown or missing"):
             load_config(str(path))
 
-    @pytest.mark.parametrize("duration", ("NaN", "Infinity", "-1"))
+    @pytest.mark.parametrize("duration, error", [
+        ("NaN", "program.duration_s must be finite, got nan"),
+        ("Infinity", "program.duration_s must be finite, got inf"),
+        ("-1", "duration must be finite and >= 0, got -1.0"),
+    ], ids=["NaN", "Infinity", "-1"])
     def test_duration_must_be_finite_and_non_negative(self, tmp_path,
-                                                      duration):
+                                                      duration, error):
         # Python's json reads and writes the NaN and Infinity literals
         data = load_preset("paper-table1").to_dict()
         data["program"]["duration_s"] = float(duration)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert duration in path.read_text()
-        with pytest.raises(ConfigError, match="duration must be finite"):
+        with pytest.raises(ConfigError) as exc:
             load_config(str(path)).validate()
+        assert str(exc.value) == error
 
     @pytest.mark.parametrize("field, value", [
         ("support.contact_lever_mm", math.nan),
@@ -147,7 +166,7 @@ class TestConfig:
     # ``error`` follows the field name in the one error line
     @pytest.mark.parametrize("field, value, error", [
         ("program.first_corner", 2.0, " must be an integer, got 2.0"),
-        ("gearbox.corner_count", 4.0, " must be an integer, got 4.0"),
+        ("gearbox.driven_teeth", 10.0, " must be an integer, got 10.0"),
         ("sides.0.origami_joint_count", 3.0, " must be an integer, got 3.0"),
         ("gearbox.worm_teeth", 43.0, " must be an integer, got 43.0"),
         ("program.first_corner", True, " must be an integer, got True"),
@@ -203,8 +222,10 @@ class TestConfig:
         ["simulate", "--duration-s", "1"],
         ["sweep", "--param", "program.motor_speed_rad_s", "--values", "30"],
     ], ids=lambda argv: argv[0])
+    # the ring's four corners are fixed by the code; a file from before
+    # gearbox.corner_count was deleted must drop that key
     @pytest.mark.parametrize("field", ["gearbox.bogus", "sides.2.bogus",
-                                       "bogus"])
+                                       "bogus", "gearbox.corner_count"])
     def test_unknown_field_from_file_named_by_field(self, tmp_path, capsys,
                                                     command, field):
         data = load_preset("paper-table1").to_dict()
@@ -675,12 +696,14 @@ class TestSweepCli:
          "error: value nan: support.contact_lever_mm must be finite, "
          "got nan\n",
          ["2,4,593.133,1.811160,no"]),
-        # the gearbox's (0, 2*pi] check is the only check of the arc
+        # the gearbox's (0, 2*pi] check is the only range check of the arc
         ("gearbox.sector_arc_deg", "-90,0,90,180,360,400,nan",
          "".join(f"error: value {value}: sector_arc must be in (0, 2*pi], "
                  f"got {radians}\n" for value, radians in (
                      ("-90", -1.5707963267948966), ("0", 0.0),
-                     ("400", 6.981317007977318), ("nan", math.nan))),
+                     ("400", 6.981317007977318)))
+         + "error: value nan: gearbox.sector_arc_deg must be finite, "
+         "got nan\n",
          ["90,0,0.000,1.811160,no", "180,0,0.000,1.811160,no",
           "360,4,593.133,1.811160,no"]),
     ], ids=["contact-lever", "sector-arc"])
@@ -756,7 +779,7 @@ class TestSweepCli:
 
     @pytest.mark.parametrize("param, value", [
         ("gearbox.driver_teeth", "4"), ("gearbox.driven_teeth", "12"),
-        ("program.first_corner", "2"), ("gearbox.corner_count", "4"),
+        ("program.first_corner", "2"),
         ("sides.0.origami_joint_count", "3"),
     ])
     def test_integer_field_sweeps(self, tmp_path, capsys, param, value):
@@ -956,8 +979,6 @@ class TestInputChecks:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("section, key, value, error", [
-        ("gearbox", "corner_count", 3, "gearbox.corner_count must be 4"),
-        ("gearbox", "corner_count", 5, "gearbox.corner_count must be 4"),
         ("mass_layout", "corner_masses_kg", [0.25] * 3,
          "mass_layout needs 4 corners"),
         ("mass_layout", "ray_angles_deg", [90.0, 0.0, 270.0, 180.0, 45.0],

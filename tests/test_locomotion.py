@@ -18,7 +18,7 @@ from geogami.locomotion import (ActuationProgram, DampingParams, EventKind,
                                 ReleaseModel, SimTrace, SimulationError,
                                 Simulator, TRACE_CSV_HEADER, TraceRecord,
                                 execute_roll, ground_pivots, tipping_check)
-from geogami.transmission import EngagementSchedule
+from geogami.transmission import EngagementSchedule, GearboxConfig
 
 CONFIG = load_preset("paper-table1")
 LAYOUT = CONFIG.build_layout()
@@ -653,7 +653,40 @@ class TestOscillationOverlay:
         assert DampingParams(amplitude_rad=0.0).settled_after(math.pi) == 0.0
 
 
+# the float fields of the domain types (the program's speed and duration
+# have their own test below); ``name.k`` is item k of a tuple
+_FLOAT_FIELDS = [
+    (GearboxConfig(), ("spool_radius", "sector_arc", "efficiency_worm",
+                       "efficiency_spur", "motor_torque")),
+    (MassLayout(), ("central_mass", "corner_masses.2", "ray_angles.1",
+                    "rest_radii.3")),
+    (ActuationProgram(30.0, 36.1, EngagementSchedule.cyclic()),
+     ("max_contraction",)),
+    (SideAssembly(), ("origami_chain.4", "skeleton_left", "skeleton_right",
+                      "cable_stiffness", "routing_gain", "angular_to_radial")),
+    (DampingParams(), ("frequency_hz", "damping_ratio", "amplitude_rad")),
+    (EngagementSchedule.spindle((1, 1, 1, 1)), ("take_up.0",)),
+]
+
+
 class TestProgramValidation:
+    # a sign test written ``x <= 0`` lets NaN through; inf is a value only
+    # for the cable, where it means inextensible
+    @pytest.mark.parametrize("instance, field, value", [
+        pytest.param(instance, field, value,
+                     id=f"{type(instance).__name__}.{field}={value}")
+        for instance, names in _FLOAT_FIELDS for field in names
+        for value in (math.nan, math.inf, -math.inf)
+        if (field, value) != ("cable_stiffness", math.inf)])
+    def test_domain_types_refuse_non_finite(self, instance, field, value):
+        name, _, index = field.partition(".")
+        if index:
+            items = list(getattr(instance, name))
+            items[int(index)] = value
+            value = tuple(items)
+        with pytest.raises(ValueError):
+            dataclasses.replace(instance, **{name: value})
+
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError, match="winding positive"):
             ActuationProgram(motor_speed=-1.0, duration=1.0,
