@@ -35,9 +35,15 @@ class CliError(Exception):
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The config of ``--config`` or ``--preset``, with ``--duration-s``."""
     if getattr(args, "config", None):
-        return load_config(args.config)
-    return load_preset(getattr(args, "preset", None) or DEFAULT_PRESET)
+        config = load_config(args.config)
+    else:
+        config = load_preset(getattr(args, "preset", None) or DEFAULT_PRESET)
+    if getattr(args, "duration_s", None) is None:
+        return config
+    return _with_value(config, RunConfig, ["program", "duration_s"],
+                       args.duration_s, "program.duration_s")
 
 
 # -- fit ----------------------------------------------------------------------
@@ -120,7 +126,8 @@ def _chain_rows(args: argparse.Namespace, cfg: transmission.GearboxConfig
 
 
 def _cmd_gearbox(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args).build_simulator().gearbox
+    # only the gearbox: a query needs no program that can run
+    cfg = _resolve_config(args).build_gearbox()
     rows = _chain_rows(args, cfg)
     if args.csv:
         print("quantity,value,unit")
@@ -148,13 +155,9 @@ def _cmd_gearbox(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    overrides = {"mode": args.mode, "duration_s": args.duration_s,
-                 "origami": None if args.origami is None
-                 else args.origami == "on"}
-    config = replace(config, program=replace(config.program, **{
-        key: value for key, value in overrides.items() if value is not None}))
-    mode = config.program.mode
-    trace = config.build_simulator().run(dt=args.dt)
+    mode = args.mode or config.program.mode
+    origami = None if args.origami is None else args.origami == "on"
+    trace = config.build_simulator(args.mode, origami).run(dt=args.dt)
     out_dir = Path(args.out)
     trace_path = out_dir / f"trace_{mode}.csv"
     with open_atomic(str(trace_path)) as stream:
@@ -247,9 +250,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                        "program.duration_s; give one or the other")
     base = _resolve_config(args)
     values = _sweep_values(args)
-    if args.duration_s is not None:
-        base = replace(base, program=replace(base.program,
-                                             duration_s=args.duration_s))
     lines = ["value,rolls,travel_mm,max_tension_N,stall"]
     for value in values:
         try:

@@ -135,14 +135,13 @@ class RunConfig:
         self.build_simulator()
 
     def _check_fields(self) -> None:
-        """The checks that need no builder: schema, counts, names, signs."""
-        if self.schema_version != SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported schema_version {self.schema_version}, "
-                f"expected {SCHEMA_VERSION}")
-        if self.composition_law not in ("A", "B"):
-            raise ConfigError(
-                f"composition_law must be 'A' or 'B', got {self.composition_law!r}")
+        """The checks that need no builder: counts, names, orderings."""
+        try:
+            CompositionLaw(self.composition_law)
+        except ValueError:
+            laws = " or ".join(repr(law.value) for law in CompositionLaw)
+            raise ConfigError(f"composition_law must be {laws}, "
+                              f"got {self.composition_law!r}")
         if len(self.sides) != 4:
             raise ConfigError(f"need 4 sides, got {len(self.sides)}")
         for k, side in enumerate(self.sides):
@@ -154,8 +153,6 @@ class RunConfig:
         if len(layout.corner_masses_kg) != 4 or len(layout.ray_angles_deg) != 4 \
                 or len(layout.rest_radii_mm) != 4:
             raise ConfigError("mass_layout needs 4 corners")
-        if self.support.contact_lever_mm < 0:
-            raise ConfigError("contact lever must be >= 0")
         if self.program.mode not in SIMULATION_MODES:
             raise ConfigError(
                 f"mode must be one of {SIMULATION_MODES}, got {self.program.mode!r}")
@@ -256,29 +253,27 @@ class RunConfig:
 
         ``mode`` and ``origami``, when given, replace the program's.  This
         is where a config is checked: a run that cannot run raises
-        ``ConfigError`` here, before any of it runs.
+        ``ConfigError`` here, before any of it runs; the domain types
+        check the numbers they hold.
         """
         changes = {key: value for key, value in
                    (("mode", mode), ("origami", origami)) if value is not None}
         config = replace(self, program=replace(self.program, **changes))
         config._check_fields()
-        for key, value in asdict(config).items():
-            _check_finite(value, key)
-        # builders run the per-field range checks of the domain types
+        start = config.program.initial_roll_deg
+        # the one number no domain type checks: fmod(inf, 360) raises
+        if not math.isfinite(start):
+            raise ConfigError(
+                f"program.initial_roll_deg must be finite, got {start}")
         try:
-            parts = dict(gearbox=config.build_gearbox(),
-                         layout=config.build_layout(),
-                         sides=config.build_sides(),
-                         program=config.build_program())
-        except ConfigError:
-            raise
+            sim = Simulator(
+                config.build_gearbox(), config.build_layout(),
+                config.build_sides(), config.support.contact_lever_mm,
+                config.build_program(),
+                composition_law=CompositionLaw(config.composition_law),
+                initial_roll=lattice_radians(math.fmod(start, 360)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        start = config.program.initial_roll_deg
-        sim = Simulator(**parts,
-                        contact_lever=config.support.contact_lever_mm,
-                        composition_law=CompositionLaw(config.composition_law),
-                        initial_roll=lattice_radians(math.fmod(start, 360)))
         config._check_stroke(sim)
         try:
             sim.resolve_tips(sim.initial_state(), [])
@@ -296,8 +291,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Parse a config document; ``build_simulator`` checks the values."""
-        return _parse(cls, data, "")
+        """Parse a config document (``_parse``) of this ``SCHEMA_VERSION``."""
+        config = _parse(cls, data, "")
+        if config.schema_version != SCHEMA_VERSION:
+            raise ConfigError(
+                f"unsupported schema_version {config.schema_version}, "
+                f"expected {SCHEMA_VERSION}")
+        return config
 
 
 # the Python types a JSON value of each declared scalar field type may have,
@@ -317,8 +317,9 @@ def _parse(declared: object, node: object, path: str) -> object:
     JSON admits a string, a bool, a list or an object anywhere; the
     builders would fail on one with a traceback, read ``"yes"`` as true or
     a list as an empty section.  So a value of the wrong JSON type or
-    shape, or a field the spec lacks, raises one ``ConfigError`` naming
-    its dotted field.  Values pass through as read (no int -> float).
+    shape, a non-finite number, or a field the spec lacks, raises one
+    ``ConfigError`` naming its dotted field.  Values pass through as
+    read (no int -> float).
     """
     scalar = _FIELD_TYPES.get(declared)
     if scalar is not None:
@@ -326,8 +327,9 @@ def _parse(declared: object, node: object, path: str) -> object:
         if not isinstance(node, types) or (isinstance(node, bool)
                                            and declared is not bool):
             raise ConfigError(f"{path} must be {kind}, got {node!r}")
-        # JSON admits an int of any size; the builders turn numbers into floats
-        if isinstance(node, int) and abs(node) > sys.float_info.max:
+        # JSON and --values admit NaN, inf and an int past any float
+        if isinstance(node, (int, float)) \
+                and not abs(node) <= sys.float_info.max:
             raise ConfigError(f"{path} must be finite, got {node}")
         return node
     prefix = f"{path}." if path else ""
@@ -354,17 +356,6 @@ def _parse(declared: object, node: object, path: str) -> object:
     return declared(**values)
 
 
-def _check_finite(node: object, path: str) -> None:
-    """Reject NaN or inf, which JSON and ``--values`` admit, by dotted field."""
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"{path} must be finite, got {node}")
-    if isinstance(node, (tuple, list)):
-        node = dict(enumerate(node))
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _check_finite(value, f"{path}.{key}")
-
-
 def _parse_config(text: str, source: str) -> RunConfig:
     """Parse one config document; ``source`` names it in errors."""
     try:
@@ -379,9 +370,9 @@ def _parse_config(text: str, source: str) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     """Parse a run configuration from a JSON file.
 
-    Loading parses: a value of the wrong JSON type or shape fails here.
-    The run is checked when it is built (``RunConfig.build_simulator``),
-    after any overrides.
+    Loading parses: a value of the wrong JSON type or shape, a non-finite
+    number or another ``schema_version`` fails here.  The run is checked
+    when it is built (``RunConfig.build_simulator``), after any overrides.
     """
     try:
         with open(path) as handle:

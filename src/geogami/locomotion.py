@@ -764,12 +764,19 @@ class Simulator:
             state = self.resolve_tips(start, events)
             absorb(events)
         # step k ends at min(k * dt, duration): a step to each k * dt short
-        # of the duration, and the first one that reaches it
+        # of the duration, and ``last``, the first that reaches it; no k * dt
+        # past it is computed, as 2 * 1e308 overflows
+        last = math.ceil(duration / dt)
+        if (last - 1) * dt >= duration:
+            last -= 1
+        elif last * dt < duration:
+            last += 1
         k = 0
         while state.time < duration:
-            grid = np.minimum(np.arange(k + 1, k + _SAMPLE_STEPS + 1) * dt,
-                              duration)
-            grid = grid[:np.searchsorted(grid, duration) + 1]
+            stop = min(k + _SAMPLE_STEPS, last - 1)
+            grid = np.arange(k + 1, stop + 1) * dt
+            if stop < k + _SAMPLE_STEPS:
+                grid = np.append(grid, duration)
             times, u = self._sample(state, grid)
             if len(times):
                 blocks.append(self._columns(state, times, u, trace.events))

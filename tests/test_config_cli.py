@@ -155,9 +155,32 @@ class TestConfig:
         for part in parents:
             node = node[int(part) if isinstance(node, list) else part]
         node[int(leaf) if isinstance(node, list) else leaf] = value
+        # refused as it is parsed, before any override or build
         with pytest.raises(ConfigError) as exc:
-            RunConfig.from_dict(data).validate()
+            RunConfig.from_dict(data)
         assert str(exc.value) == f"{field} must be finite, got {value}"
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["gearbox", "--retraction-mm", "5"],
+        ["sweep", "--param", "gearbox.spool_radius_mm", "--values", "5,6,7"],
+    ], ids=lambda argv: argv[0])
+    def test_other_schema_version_fails_at_load(self, tmp_path, capsys,
+                                                command):
+        data = load_preset("paper-table1").to_dict()
+        data["schema_version"] = 2
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        argv = command + ["--config", str(path)]
+        if command[0] != "gearbox":
+            argv += ["--out", str(out_dir)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == \
+            "error: unsupported schema_version 2, expected 1\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--duration-s", "1"],
@@ -487,6 +510,31 @@ class TestGearboxCli:
                                 f"got {float(value)}\n")
         assert captured.out == ""
 
+    # each program cannot run: its stroke reaches the rest radius, it
+    # starts off a rest pose, or it opens too many engagement windows
+    @pytest.mark.parametrize("section, field, value", [
+        ("gearbox", "spool_radius_mm", 40.0),
+        ("program", "initial_roll_deg", 30.0),
+        ("program", "duration_s", 1e9),
+    ])
+    def test_query_needs_no_runnable_program(self, tmp_path, capsys,
+                                             section, field, value):
+        data = load_preset("paper-table1").to_dict()
+        data[section][field] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError):
+            load_config(str(path)).validate()
+        code = main(["gearbox", "--config", str(path), "--retraction-mm", "5",
+                     "--csv"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        rows = dict(line.split(",")[:2] for line in
+                    captured.out.strip().splitlines()[1:])
+        spool = data["gearbox"]["spool_radius_mm"]
+        assert float(rows["theta_s"]) == pytest.approx(5 / spool, rel=1e-9)
+
     @pytest.mark.parametrize("option", ["--tension-n", "--torque-nm"])
     def test_overflow_gives_one_error_line(self, capsys, option):
         # tau_s = F * r_s overflows, and so does the spool torque of 1e308 N*m
@@ -641,14 +689,39 @@ class TestSimulateCli:
         # 32.005 / 1e-3 rounds to 32005.000000000004
         ["--duration-s", "32.005"],
         ["--duration-s", "16.036", "--dt", "0.0005"],
+        # 11.801 / 0.07375625 rounds to 160.0, and step 160 ends short of
+        # 11.801 at 11.800999999999998
+        ["--duration-s", "11.801", "--dt", "0.07375625"],
     ])
     def test_trace_ends_at_a_duration_off_the_grid(self, tmp_path, capsys,
                                                    argv):
         assert main(["simulate", "--preset", "paper-table1", *argv,
                      "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        last = (tmp_path / "trace_cyclic.csv").read_text().splitlines()[-1]
-        assert float(last.split(",")[0]) == float(argv[1])
+        rows = [line.split(",") for line in
+                (tmp_path / "trace_cyclic.csv").read_text().splitlines()[1:]]
+        duration = float(argv[1])
+        assert float(rows[-1][0]) == duration
+        # a row without an event ends each grid step, at min(k * dt,
+        # duration), up to the first step that reaches the duration
+        dt = float(argv[3]) if len(argv) > 2 else 1e-3
+        ends = [0.0]
+        while ends[-1] < duration:
+            ends.append(min(len(ends) * dt, duration))
+        assert [row[0] for row in rows if not row[-1]] == \
+            [f"{end:.9f}" for end in ends]
+
+    def test_step_past_the_duration_does_not_overflow(self, tmp_path,
+                                                       capsys):
+        # 2 * 1e308 overflows; one step to the duration is the whole grid
+        for dt in ("1e308", "36.1"):
+            assert main(["simulate", "--preset", "paper-table1", "--dt", dt,
+                         "--out", str(tmp_path / dt)]) == 0
+            assert capsys.readouterr().err == ""
+        first, second = ((tmp_path / dt / "trace_cyclic.csv").read_bytes()
+                         for dt in ("1e308", "36.1"))
+        assert first == second
+        assert hashlib.sha256(first).hexdigest().startswith("68496f2317d8")
 
 
 class TestSweepCli:
@@ -692,7 +765,7 @@ class TestSweepCli:
 
     @pytest.mark.parametrize("param, values, errors, rows", [
         ("support.contact_lever_mm", "-1,2,nan",
-         "error: value -1: contact lever must be >= 0\n"
+         "error: value -1: contact lever must be finite and >= 0, got -1.0\n"
          "error: value nan: support.contact_lever_mm must be finite, "
          "got nan\n",
          ["2,4,593.133,1.811160,no"]),
@@ -975,6 +1048,24 @@ class TestInputChecks:
         assert code == 2
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["sweep", "--param", "gearbox.spool_radius_mm", "--values", "5,6,7"],
+    ], ids=lambda argv: argv[0])
+    def test_non_finite_duration_flag_is_one_error_line(self, tmp_path,
+                                                        capsys, command,
+                                                        value):
+        # parsed once as program.duration_s, not once per sweep point
+        code = main(command + [f"--duration-s={value}", "--preset",
+                               "paper-table1", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (f"error: program.duration_s must be finite, "
+                                f"got {float(value)}\n")
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
@@ -1446,6 +1537,17 @@ class TestStartPose:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan])
+    def test_non_finite_start_built_in_code_is_refused(self, start):
+        # no domain type sees the start in degrees; fmod(inf, 360) raises
+        config = load_preset("paper-table1")
+        config = dataclasses.replace(config, program=dataclasses.replace(
+            config.program, initial_roll_deg=start))
+        with pytest.raises(ConfigError) as exc:
+            config.build_simulator()
+        assert str(exc.value) == \
+            f"program.initial_roll_deg must be finite, got {start}"
 
     @pytest.mark.parametrize("start", (450.0, -270.0, 90.0 + 360.0 * 1000))
     def test_start_is_reduced_modulo_a_turn(self, start):
