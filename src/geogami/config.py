@@ -17,10 +17,11 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
+from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, TextIO,
-                    Tuple, get_args, get_origin)
+                    Tuple, Type, TypeVar, get_args, get_origin)
 
 from .compliance import CompositionLaw, SideAssembly
 from .kinematics import MassLayout, lattice_radians
@@ -43,6 +44,7 @@ MAX_ORIGAMI_JOINTS = 100
 # paper-table1 is 110,775 windows and took 11.3 s and 194 MB), so this
 # bounds a run near 20 s and 350 MB; --duration-s 1e300 would open 1.1e299
 MAX_WINDOWS = 200_000
+E = TypeVar("E", bound=Enum)
 
 
 class ConfigError(ValueError):
@@ -134,41 +136,6 @@ class RunConfig:
         """Check the run this config describes (see ``build_simulator``)."""
         self.build_simulator()
 
-    def _check_fields(self) -> None:
-        """The checks that need no builder: counts, names, orderings."""
-        try:
-            CompositionLaw(self.composition_law)
-        except ValueError:
-            laws = " or ".join(repr(law.value) for law in CompositionLaw)
-            raise ConfigError(f"composition_law must be {laws}, "
-                              f"got {self.composition_law!r}")
-        if len(self.sides) != 4:
-            raise ConfigError(f"need 4 sides, got {len(self.sides)}")
-        for k, side in enumerate(self.sides):
-            if not 0 <= side.origami_joint_count <= MAX_ORIGAMI_JOINTS:
-                raise ConfigError(
-                    f"sides.{k}.origami_joint_count must be between 0 and "
-                    f"{MAX_ORIGAMI_JOINTS}, got {side.origami_joint_count}")
-        layout = self.mass_layout
-        if len(layout.corner_masses_kg) != 4 or len(layout.ray_angles_deg) != 4 \
-                or len(layout.rest_radii_mm) != 4:
-            raise ConfigError("mass_layout needs 4 corners")
-        if self.program.mode not in SIMULATION_MODES:
-            raise ConfigError(
-                f"mode must be one of {SIMULATION_MODES}, got {self.program.mode!r}")
-        try:
-            ReleaseModel(self.program.release_model)
-        except ValueError:
-            raise ConfigError(
-                f"unknown release_model {self.program.release_model!r}")
-        with_d = self.program.damping_with_origami
-        without_d = self.program.damping_without_origami
-        if (with_d.damping_ratio < without_d.damping_ratio
-                and not self.program.allow_damping_override):
-            raise ConfigError(
-                "with-origami damping ratio must be >= without-origami "
-                "(set allow_damping_override to relax)")
-
     def _check_stroke(self, sim: Simulator) -> None:
         """Reject a cyclic program that opens more than ``MAX_WINDOWS``,
         or a stroke (``Simulator.strokes``) that would pull a corner
@@ -207,7 +174,12 @@ class RunConfig:
 
     def build_sides(self) -> Tuple[SideAssembly, ...]:
         sides = []
-        for spec in self.sides:
+        for k, spec in enumerate(self.sides):
+            # checked with the chain off too: 10**19 joints is no config
+            if not 0 <= spec.origami_joint_count <= MAX_ORIGAMI_JOINTS:
+                raise ConfigError(
+                    f"sides.{k}.origami_joint_count must be between 0 and "
+                    f"{MAX_ORIGAMI_JOINTS}, got {spec.origami_joint_count}")
             chain = (spec.origami_joint_stiffness,) * spec.origami_joint_count \
                 if self.program.origami else ()
             sides.append(SideAssembly(
@@ -222,6 +194,9 @@ class RunConfig:
 
     def build_schedule(self) -> EngagementSchedule:
         mode = self.program.mode
+        if mode not in SIMULATION_MODES:
+            raise ConfigError(
+                f"mode must be one of {SIMULATION_MODES}, got {mode!r}")
         if mode == "cyclic":
             return EngagementSchedule.cyclic(self.program.first_corner)
         profile = self.program.spindle_profiles.get(mode)
@@ -233,13 +208,19 @@ class RunConfig:
 
     def build_program(self) -> ActuationProgram:
         p = self.program
-        damping_spec = p.damping_with_origami if p.origami \
-            else p.damping_without_origami
+        with_d, without_d = p.damping_with_origami, p.damping_without_origami
+        if with_d.damping_ratio < without_d.damping_ratio \
+                and not p.allow_damping_override:
+            raise ConfigError(
+                "with-origami damping ratio must be >= without-origami "
+                "(set allow_damping_override to relax)")
+        damping_spec = with_d if p.origami else without_d
         return ActuationProgram(
             motor_speed=p.motor_speed_rad_s,
             duration=p.duration_s,
             schedule=self.build_schedule(),
-            release_model=ReleaseModel(p.release_model),
+            release_model=_member(ReleaseModel, p.release_model,
+                                  "program.release_model"),
             damping=DampingParams(
                 frequency_hz=damping_spec.frequency_hz,
                 damping_ratio=damping_spec.damping_ratio,
@@ -253,13 +234,12 @@ class RunConfig:
 
         ``mode`` and ``origami``, when given, replace the program's.  This
         is where a config is checked: a run that cannot run raises
-        ``ConfigError`` here, before any of it runs; the domain types
-        check the numbers they hold.
+        ``ConfigError`` here, before any of it runs.  Each value is checked
+        once, by the builder or domain type that reads it.
         """
         changes = {key: value for key, value in
                    (("mode", mode), ("origami", origami)) if value is not None}
         config = replace(self, program=replace(self.program, **changes))
-        config._check_fields()
         start = config.program.initial_roll_deg
         # the one number no domain type checks: fmod(inf, 360) raises
         if not math.isfinite(start):
@@ -270,7 +250,8 @@ class RunConfig:
                 config.build_gearbox(), config.build_layout(),
                 config.build_sides(), config.support.contact_lever_mm,
                 config.build_program(),
-                composition_law=CompositionLaw(config.composition_law),
+                composition_law=_member(CompositionLaw, config.composition_law,
+                                        "composition_law"),
                 initial_roll=lattice_radians(math.fmod(start, 360)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -298,6 +279,15 @@ class RunConfig:
                 f"unsupported schema_version {config.schema_version}, "
                 f"expected {SCHEMA_VERSION}")
         return config
+
+
+def _member(kind: Type[E], value: str, path: str) -> E:
+    """The member of the enum ``kind`` named by the config string ``value``."""
+    try:
+        return kind(value)
+    except ValueError:
+        names = " or ".join(repr(member.value) for member in kind)
+        raise ConfigError(f"{path} must be {names}, got {value!r}") from None
 
 
 # the Python types a JSON value of each declared scalar field type may have,

@@ -70,7 +70,7 @@ class MassLayout:
             raise ValueError("central mass must be finite and >= 0")
         if len(self.corner_masses) != 4 or len(self.ray_angles) != 4 \
                 or len(self.rest_radii) != 4:
-            raise ValueError("layout needs exactly 4 corners")
+            raise ValueError("mass_layout needs 4 corners")
         if not all(0 <= m < math.inf for m in self.corner_masses):
             raise ValueError("corner masses must be finite and >= 0")
         if self.total_mass <= 0:

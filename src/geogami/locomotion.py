@@ -391,7 +391,7 @@ class Simulator:
                  composition_law: CompositionLaw = CompositionLaw.ALL_SERIES,
                  initial_roll: float = 0.0) -> None:
         if len(sides) != 4:
-            raise ValueError("need 4 side assemblies")
+            raise ValueError(f"need 4 sides, got {len(sides)}")
         if not (math.isfinite(contact_lever) and contact_lever >= 0):
             raise ValueError(f"contact lever must be finite and >= 0, "
                              f"got {contact_lever}")
@@ -809,6 +809,16 @@ class Simulator:
         import numpy as np
         engaged, boundary = self._engagement(state.time)
         starts = np.concatenate(([state.time], grid[:-1]))
+        # leave to _advance the steps from the first that could wind a
+        # corner past the widest rest radius (only a corner at its cap stays
+        # quiet there), so every winding and running sum below stays finite
+        # where a 1e308 s step at 7 mm/s would not
+        fastest = max((self._rates[c - 1] for c in engaged), default=0.0)
+        reach = max(self.layout.rest_radii) / fastest if fastest else math.inf
+        n = int(np.argmax(np.append(grid - starts >= reach, True)))
+        if n == 0:
+            return grid[:0], np.empty((0, 4))
+        grid, starts = grid[:n], starts[:n]
         quiet = grid < boundary
         u = np.tile(state.contractions, (len(grid), 1))
         cap = self.program.max_contraction
@@ -823,8 +833,15 @@ class Simulator:
                 column = np.minimum(column, cap)
                 head = cap - np.concatenate(
                     ([state.contractions[corner - 1]], column[:-1]))
-                if rate > 0:
+                if rate > 0 and float(starts[-1]) + cap / rate < math.inf:
+                    # no head exceeds the cap, so no crossing time overflows
                     quiet &= (head <= 0) | (grid < starts + head / rate)
+                elif rate > 0:
+                    # so slow a rate (a 1e-310 take-up) that the crossing
+                    # passes the largest float: Python rounds it to inf with
+                    # no warning, as _advance does
+                    quiet &= [h <= 0 or g < s + h / rate for g, s, h in zip(
+                        grid.tolist(), starts.tolist(), head.tolist())]
             u[:, corner - 1] = column
         # radii raises RadiusInversionError there; leave that to _advance
         quiet &= (u < self.layout.rest_radii).all(axis=1)

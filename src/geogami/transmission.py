@@ -112,6 +112,8 @@ class EngagementSchedule:
     """
 
     mode: ScheduleMode
+    # corner 4 lies at world -x in the canonical rest pose, so the default
+    # cycle rolls the ring along +x
     first_corner: int = 4
     take_up: Tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
 
@@ -127,12 +129,9 @@ class EngagementSchedule:
             raise ValueError("take_up multipliers must be finite and >= 0")
 
     @classmethod
-    def cyclic(cls, first_corner: int = 4) -> "EngagementSchedule":
-        """Sector-gear schedule: one corner at a time in ring order.
-
-        The default ``first_corner=4`` starts the cycle on the corner at
-        world -x in the canonical rest pose, so rolls advance along +x.
-        """
+    def cyclic(cls, first_corner: int = first_corner) -> "EngagementSchedule":
+        """Sector-gear schedule: one corner at a time in ring order; the
+        default starts at the field's default ``first_corner``."""
         return cls(mode=ScheduleMode.CYCLIC_SECTOR, first_corner=first_corner)
 
     @classmethod

@@ -1095,6 +1095,40 @@ class TestInputChecks:
         assert captured.out == ""
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("edit, error", [
+        (lambda data: data["program"].update(mode="bogus"),
+         "mode must be one of ('cyclic', 'pyramid', 'spindle5', "
+         "'spindle10'), got 'bogus'"),
+        (lambda data: data["program"].update(release_model="bogus"),
+         "program.release_model must be 'instant_return' or "
+         "'return_angle_limited', got 'bogus'"),
+        (lambda data: data.update(sides=data["sides"][:3]),
+         "need 4 sides, got 3"),
+        (lambda data: data.update(sides=data["sides"] + data["sides"][:1]),
+         "need 4 sides, got 5"),
+        # the count is checked with the origami chain off too
+        (lambda data: (data["program"].update(origami=False),
+                       data["sides"][0].update(origami_joint_count=101)),
+         "sides.0.origami_joint_count must be between 0 and 100, got 101"),
+    ], ids=("mode", "release_model", "3-sides", "5-sides", "joints-off"))
+    @pytest.mark.parametrize("command", ("simulate", "sweep"))
+    def test_a_builder_names_a_bad_file_value(self, tmp_path, capsys,
+                                              command, edit, error):
+        data = load_preset("paper-table1").to_dict()
+        edit(data)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        argv, point = [command, "--config", str(path)], ""
+        if command == "sweep":
+            argv += ["--param", "program.motor_speed_rad_s", "--values", "30"]
+            point = "value 30: "
+        out_dir = tmp_path / "out"
+        assert main(argv + ["--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {point}{error}\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("release, param, value, time, tips", [
         # a heavier corner 4: the instant_return two-cycle between -90 and
         # -180 degrees; the - tip's margin is dust of _tip_time's float snap

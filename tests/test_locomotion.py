@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import io
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -513,6 +514,29 @@ class TestTimeline:
         for dt in (1e-3, 1e-2, 0.25):
             assert tokens(functools.partial(sim.run, dt=dt)) == expected, dt
 
+    @pytest.mark.parametrize("mode", ("pyramid", "spindle5", "spindle10"))
+    def test_one_huge_step_does_not_overflow(self, mode):
+        # a 1e308 s step winds far past the largest float before the
+        # saturation cap applies; the run stalls at the cap all the same
+        sim = simulator(duration=1.7e308, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = sim.run(1e308)
+        assert [e.token() for e in trace.events] == \
+            [e.token() for e in sim.timeline().events]
+        assert trace.stalled
+
+    def test_a_subnormal_take_up_does_not_overflow(self):
+        # corner 4 winds so slowly that its time to the cap passes the
+        # largest float
+        sim = simulator(mode="pyramid", schedule=EngagementSchedule.spindle(
+            (1.0, 0.75, 0.5, 1e-310)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = sim.run(1e-2)
+        assert [e.token() for e in trace.events] == \
+            [e.token() for e in sim.timeline().events]
+
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 2a: spindle10's corners 2 and 4 wind at one rate and "
         "reach the cap at one instant; only run(1e-3) emits saturation:4"))
@@ -725,6 +749,13 @@ class TestProgramValidation:
                       [SideAssembly()] * 3, LEVER,
                       CONFIG.build_program())
 
+
+    @pytest.mark.parametrize("count", (3, 5))
+    def test_simulator_names_its_side_count(self, count):
+        with pytest.raises(ValueError, match=f"^need 4 sides, got {count}$"):
+            Simulator(CONFIG.build_gearbox(), LAYOUT,
+                      [SideAssembly()] * count, LEVER,
+                      CONFIG.build_program())
 
 def around(value):
     """``value`` and its two float neighbours: a trio that straddles it."""
