@@ -194,9 +194,6 @@ def _with_value(node: object, declared: object, parts: List[str],
         k = int(part)
         item = _with_value(node[k], get_args(declared)[0], rest, value, dotted)
         return node[:k] + (item,) + node[k + 1:]
-    if isinstance(node, dict) and part in node:
-        return {**node, part: _with_value(node[part], get_args(declared)[1],
-                                          rest, value, dotted)}
     types = {f.name: f.type for f in fields(node)} if is_dataclass(node) else {}
     if part not in types:
         raise CliError(f"unknown config field {dotted!r}")

@@ -128,8 +128,6 @@ class JointModel:
         lo, hi = self.valid_range
         if not lo < hi:
             raise ValueError(f"valid_range must be increasing, got {self.valid_range}")
-        if self.force_coeffs[0] < -1e-9:
-            raise ValueError("bending force at zero bend must be >= 0")
 
     def force(self, theta: float) -> float:
         """Bending force F_b at a bend angle (no range check)."""

@@ -16,12 +16,12 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, TextIO,
-                    Tuple, Type, TypeVar, get_args, get_origin)
+from typing import (TYPE_CHECKING, Iterator, List, Optional, TextIO, Tuple,
+                    Type, TypeVar, get_args, get_origin)
 
 from .compliance import CompositionLaw, SideAssembly
 from .kinematics import MassLayout, lattice_radians
@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 PRESET_ENV_VAR = "GEOGAMI_PRESET_DIR"
-SIMULATION_MODES = ("cyclic", "pyramid", "spindle5", "spindle10")
 # the paper's origami chain has five joints; a side's chain is built as one
 # stiffness per joint, so the count is capped at twenty times that (10**6
 # would build a million-entry chain per side, 10**19 none at all)
@@ -96,6 +95,19 @@ class SupportSpec:
 
 
 @dataclass(frozen=True)
+class SpindleProfiles:
+    """The take-up multiplier of each corner under each fixed-spindle
+    drive; a field's name is the drive's ``--mode``."""
+
+    pyramid: Tuple[float, ...] = (1.0, 0.75, 0.5, 0.25)
+    spindle5: Tuple[float, ...] = (0.55, 0.5, 0.45, 0.5)
+    spindle10: Tuple[float, ...] = (1.1, 1.0, 0.9, 1.0)
+
+
+SIMULATION_MODES = ("cyclic", *(f.name for f in fields(SpindleProfiles)))
+
+
+@dataclass(frozen=True)
 class ProgramSpec:
     motor_speed_rad_s: float = 30.0
     duration_s: float = 36.1
@@ -106,11 +118,7 @@ class ProgramSpec:
     spindle_max_contraction_mm: float = 25.1
     release_model: str = ActuationProgram.release_model.value
     origami: bool = True
-    spindle_profiles: Dict[str, Tuple[float, ...]] = field(default_factory=lambda: {
-        "pyramid": (1.0, 0.75, 0.5, 0.25),
-        "spindle5": (0.55, 0.5, 0.45, 0.5),
-        "spindle10": (1.1, 1.0, 0.9, 1.0),
-    })
+    spindle_profiles: SpindleProfiles = SpindleProfiles()
     damping_with_origami: DampingSpec = DampingSpec(2.2, 0.35, 12.0)
     damping_without_origami: DampingSpec = DampingSpec()
     allow_damping_override: bool = False
@@ -126,7 +134,7 @@ class RunConfig:
         SideSpec(), SideSpec(), SideSpec(), SideSpec())
     program: ProgramSpec = ProgramSpec()
     support: SupportSpec = SupportSpec()
-    composition_law: str = "B"
+    composition_law: str = CompositionLaw.ALL_SERIES.value
     description: str = ""
     schema_version: int = SCHEMA_VERSION
 
@@ -199,12 +207,8 @@ class RunConfig:
                 f"mode must be one of {SIMULATION_MODES}, got {mode!r}")
         if mode == "cyclic":
             return EngagementSchedule.cyclic(self.program.first_corner)
-        profile = self.program.spindle_profiles.get(mode)
-        if profile is None or len(profile) != 4:
-            raise ConfigError(
-                f"spindle profile for mode {mode!r} must list "
-                "4 take-up multipliers")
-        return EngagementSchedule.spindle(profile)
+        return EngagementSchedule.spindle(
+            getattr(self.program.spindle_profiles, mode))
 
     def build_program(self) -> ActuationProgram:
         p = self.program
@@ -266,9 +270,8 @@ class RunConfig:
     # -- (de)serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        # asdict maps tuples to lists already via dict/list recursion
-        return json.loads(json.dumps(data))
+        # asdict keeps tuples; the JSON round trip makes them lists
+        return json.loads(json.dumps(asdict(self)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -332,10 +335,6 @@ def _parse(declared: object, node: object, path: str) -> object:
                      for k, value in enumerate(node))
     if not isinstance(node, dict):
         raise ConfigError(f"{path} must be an object, got {node!r}")
-    if get_origin(declared) is dict:
-        item = get_args(declared)[1]
-        return {key: _parse(item, value, f"{prefix}{key}")
-                for key, value in node.items()}
     field_types = {f.name: f.type for f in fields(declared)}
     values = {}
     for name, value in node.items():

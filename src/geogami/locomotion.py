@@ -868,6 +868,12 @@ class Simulator:
         """
         import numpy as np
         program = self.program
+        # the block's largest motor angle, in Python floats: numpy's
+        # multiply would write inf with a warning
+        last = float(times[-1])
+        if not math.isfinite(program.motor_speed * last):
+            raise SimulationError(
+                f"the motor angle at t = {last:g} s passes the largest float")
         phi = state.roll_angle
         c, s = unit(phi)
         dbx, dby = mass_offset_xy(self.layout, (self.layout.rest_radii - u).T)

@@ -119,7 +119,8 @@ class EngagementSchedule:
 
     def __post_init__(self) -> None:
         if len(self.take_up) != 4:
-            raise ValueError("take_up needs one multiplier per corner")
+            raise ValueError("take_up needs one multiplier per corner, "
+                             f"got {len(self.take_up)}")
         if self.mode is ScheduleMode.CYCLIC_SECTOR:
             if not 1 <= self.first_corner <= 4:
                 raise ValueError("first_corner must be in 1..4")

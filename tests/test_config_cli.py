@@ -12,6 +12,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -248,7 +249,8 @@ class TestConfig:
     # the ring's four corners are fixed by the code; a file from before
     # gearbox.corner_count was deleted must drop that key
     @pytest.mark.parametrize("field", ["gearbox.bogus", "sides.2.bogus",
-                                       "bogus", "gearbox.corner_count"])
+                                       "bogus", "gearbox.corner_count",
+                                       "program.spindle_profiles.spindel5"])
     def test_unknown_field_from_file_named_by_field(self, tmp_path, capsys,
                                                     command, field):
         data = load_preset("paper-table1").to_dict()
@@ -429,6 +431,25 @@ class TestFitCli:
         assert compliance.fit_residuals(fitted, data) == (
             float(np.max(np.abs(npoly.polyval(angles, force_coeffs) - forces))),
             float(np.max(np.abs(npoly.polyval(angles, return_coeffs) - returns))))
+
+    def test_fit_takes_a_negative_intercept(self, tmp_path, capsys):
+        # every force is >= 0, but the cubic's value at zero bend is
+        # -0.00238 N; no path reads the curve there
+        csv_path = tmp_path / "meas.csv"
+        csv_path.write_text(
+            "theta_deg,force_N,return_deg\n0,0,0\n20,0.2,3\n40,0.4,6\n"
+            "60,0.55,9\n80,0.7,12\n100,0.85,15\n")
+        out = tmp_path / "model.json"
+        assert main(["fit", str(csv_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        angles, forces, returns = np.array(
+            compliance.read_measurement_csv(str(csv_path)).samples).T
+        model = json.loads(out.read_text())
+        assert model["force_coeffs"] == \
+            npoly.polyfit(angles, forces, 3).tolist()
+        assert model["return_coeffs"] == \
+            npoly.polyfit(angles, returns, 3).tolist()
+        assert model["force_coeffs"][0] == pytest.approx(-0.00238, abs=1e-5)
 
     def test_fit_empty_file(self, tmp_path, capsys):
         csv_path = tmp_path / "empty.csv"
@@ -722,6 +743,27 @@ class TestSimulateCli:
                          for dt in ("1e308", "36.1"))
         assert first == second
         assert hashlib.sha256(first).hexdigest().startswith("68496f2317d8")
+
+    @pytest.mark.parametrize("take_up", [0.0, 1e-310])
+    def test_motor_angle_past_the_largest_float(self, tmp_path, capsys,
+                                                take_up):
+        # corners that never reach the cap run the whole grid, and 30 rad/s
+        # times the 1e308 s row passes the largest float
+        data = load_preset("paper-table1").to_dict()
+        data["program"]["spindle_profiles"] = {"pyramid": [take_up] * 4}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", str(path), "--mode",
+                         "pyramid", "--duration-s", "1.7e308", "--dt",
+                         "1e308", "--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            "error: the motor angle at t = 1.7e+308 s passes the largest "
+            "float\n"))
+        assert not out_dir.exists()
 
 
 class TestSweepCli:
@@ -1102,6 +1144,9 @@ class TestInputChecks:
         (lambda data: data["program"].update(release_model="bogus"),
          "program.release_model must be 'instant_return' or "
          "'return_angle_limited', got 'bogus'"),
+        (lambda data: data["program"].update(
+            mode="spindle10", spindle_profiles={"spindle10": [1.1, 1.0, 0.9]}),
+         "take_up needs one multiplier per corner, got 3"),
         (lambda data: data.update(sides=data["sides"][:3]),
          "need 4 sides, got 3"),
         (lambda data: data.update(sides=data["sides"] + data["sides"][:1]),
@@ -1110,7 +1155,8 @@ class TestInputChecks:
         (lambda data: (data["program"].update(origami=False),
                        data["sides"][0].update(origami_joint_count=101)),
          "sides.0.origami_joint_count must be between 0 and 100, got 101"),
-    ], ids=("mode", "release_model", "3-sides", "5-sides", "joints-off"))
+    ], ids=("mode", "release_model", "3-take-ups", "3-sides", "5-sides",
+            "joints-off"))
     @pytest.mark.parametrize("command", ("simulate", "sweep"))
     def test_a_builder_names_a_bad_file_value(self, tmp_path, capsys,
                                               command, edit, error):
@@ -1214,6 +1260,58 @@ class TestInputChecks:
                   "--dt", "1e-3", "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "unrecognized arguments: --dt" in capsys.readouterr().err
+
+
+class TestSpindleProfiles:
+    """``program.spindle_profiles``: a section with one field per drive."""
+
+    @pytest.mark.parametrize("command", ("simulate", "sweep"))
+    def test_an_omitted_drive_keeps_its_default(self, tmp_path, capsys,
+                                                command):
+        # as a dict, a file's profiles replaced all three, and spindle5
+        # then failed for want of its own
+        outputs = []
+        for profiles in ({"pyramid": [0.5] * 4}, None):
+            data = load_preset("paper-table1").to_dict()
+            data["program"]["mode"] = "spindle5"
+            if profiles is not None:
+                data["program"]["spindle_profiles"] = profiles
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(data))
+            out_dir = tmp_path / str(len(outputs))
+            argv = ["--mode", "spindle5"] if command == "simulate" else [
+                "--param", "program.motor_speed_rad_s", "--values", "30"]
+            assert main([command, "--config", str(path), "--out",
+                         str(out_dir)] + argv) == 0
+            assert capsys.readouterr().err == ""
+            outputs.append(next(out_dir.iterdir()).read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_a_multiplier_sweeps(self, tmp_path, capsys):
+        data = load_preset("paper-table1").to_dict()
+        data["program"]["mode"] = "spindle10"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(path), "--param",
+                     "program.spindle_profiles.spindle10.3",
+                     "--values", "0.5,1,-1", "--out", str(tmp_path)]) == 2
+        # the negative point reaches the schedule, which refuses it
+        assert capsys.readouterr().err == (
+            "error: value -1: take_up multipliers must be finite and >= 0\n")
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.5", "1"]
+
+    # sha256 of json.dumps(to_dict()) as written while the profiles were a
+    # dict: the section serializes to the same bytes
+    @pytest.mark.parametrize("name, digest", [
+        ("paper-table1",
+         "8f677fa7ea00e51d06cd88c51169b63e456902e513dec0a24fad06b102122e3a"),
+        ("symmetric-test",
+         "795df739c60669a4ef2bfc9c41fe6db1730100d47ce97015363dc9681f0be7e0"),
+    ])
+    def test_to_dict_is_unchanged(self, name, digest):
+        text = json.dumps(load_preset(name).to_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestRunBounds:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geogami.compliance import SideAssembly
-from geogami.config import ConfigError, load_preset
+from geogami.config import ConfigError, SpindleProfiles, load_preset
 from geogami.kinematics import (BodyState, MassLayout, RadiusInversionError,
                                 body_mass_offset, radii, world_com)
 from geogami.locomotion import (ActuationProgram, DampingParams, EventKind,
@@ -495,8 +495,8 @@ class TestTimeline:
             CONFIG.program, duration_s=duration, release_model=release.value,
             mode="cyclic" if profile is None else "pyramid")
         if profile is not None:
-            program = dataclasses.replace(program, spindle_profiles={
-                "pyramid": tuple(k / 8 for k in profile)})
+            program = dataclasses.replace(program, spindle_profiles=(
+                SpindleProfiles(pyramid=tuple(k / 8 for k in profile))))
         sim = dataclasses.replace(
             CONFIG, program=program,
             gearbox=dataclasses.replace(CONFIG.gearbox, spool_radius_mm=spool),
@@ -578,7 +578,7 @@ class TestSpindleModes:
     def test_spindle_contractions_track_take_up_profile(self):
         trace = simulator(mode="spindle10", duration=4.0).run()
         final = trace.final_state.contractions
-        profile = CONFIG.program.spindle_profiles["spindle10"]
+        profile = CONFIG.program.spindle_profiles.spindle10
         ratios = [u / s for u, s in zip(final, profile)]
         assert max(ratios) - min(ratios) < 1e-9
 
