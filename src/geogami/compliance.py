@@ -87,7 +87,8 @@ def read_measurement_csv(path: str,
     naming the offending row on malformed input.
     """
     samples: List[Tuple[float, float, float]] = []
-    with open(path, newline="") as handle:
+    # utf-8-sig drops the byte-order mark of a spreadsheet's UTF-8 export
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         for line_no, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
@@ -175,15 +176,14 @@ def fit_joint_model(data: JointMeasurementSet, degree: int = 3) -> JointModel:
     from numpy.polynomial import polynomial as npoly
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    if len(data.samples) < degree + 1:
-        raise ValueError(
-            f"underdetermined fit: {len(data.samples)} samples for degree {degree}")
     angles, forces, returns = np.array(data.samples).T
+    distinct = len(np.unique(angles))
+    if distinct < degree + 1:
+        raise ValueError(f"underdetermined fit: {distinct} distinct bend "
+                         f"angles for degree {degree}")
     force_coeffs = npoly.polyfit(angles, forces, degree)
     return_coeffs = npoly.polyfit(angles, returns, degree)
     lo, hi = float(angles.min()), float(angles.max())
-    if not lo < hi:
-        raise ValueError("samples must span a nonzero angle range")
     mean = (_polyval(hi, force_coeffs) - _polyval(lo, force_coeffs)) / (hi - lo)
     return JointModel(
         family=data.family,

@@ -729,6 +729,8 @@ class Simulator:
         returns is already stable.  From each stable state, ``_sample``
         evaluates the following grid steps at once and keeps the quiet
         ones; the first step that is not quiet goes through ``_advance``.
+        numpy overflows to inf as Python floats do: a ``k * dt`` of inf is
+        past the duration, and no row returned holds an inf.
         """
         import numpy as np
         if not (math.isfinite(dt) and dt > 0):
@@ -763,20 +765,15 @@ class Simulator:
             events: List[SimEvent] = []
             state = self.resolve_tips(start, events)
             absorb(events)
-        # step k ends at min(k * dt, duration): a step to each k * dt short
-        # of the duration, and ``last``, the first that reaches it; no k * dt
-        # past it is computed, as 2 * 1e308 overflows
-        last = math.ceil(duration / dt)
-        if (last - 1) * dt >= duration:
-            last -= 1
-        elif last * dt < duration:
-            last += 1
         k = 0
         while state.time < duration:
-            stop = min(k + _SAMPLE_STEPS, last - 1)
-            grid = np.arange(k + 1, stop + 1) * dt
-            if stop < k + _SAMPLE_STEPS:
-                grid = np.append(grid, duration)
+            # step k ends at min(k * dt, duration), a float for any dt
+            with np.errstate(over="ignore"):
+                grid = np.arange(k + 1.0, k + _SAMPLE_STEPS + 1) * dt
+            end = int(np.searchsorted(grid, duration))
+            if end < len(grid):
+                grid = grid[:end + 1]
+                grid[end] = duration
             times, u = self._sample(state, grid)
             if len(times):
                 blocks.append(self._columns(state, times, u, trace.events))
@@ -787,7 +784,7 @@ class Simulator:
                 if len(times) == len(grid):
                     continue
             events = []
-            state = self._advance(state, min((k + 1) * dt, duration), events)
+            state = self._advance(state, float(grid[len(times)]), events)
             if absorb(events):
                 break
             record(state)
@@ -804,54 +801,42 @@ class Simulator:
         the window boundary and before every saturation, with every radius
         positive, on a state that does not tip.  The steps are evaluated
         with ``_advance``'s arithmetic in its order, so the quiet prefix
-        returned equals ``_advance``'s states float for float.
+        returned equals ``_advance``'s states float for float.  An overflow
+        gives inf, as in ``_advance``: a crossing time of inf never comes,
+        and a row that holds an inf winding is not quiet, so every row
+        returned is finite.
         """
         import numpy as np
         engaged, boundary = self._engagement(state.time)
         starts = np.concatenate(([state.time], grid[:-1]))
-        # leave to _advance the steps from the first that could wind a
-        # corner past the widest rest radius (only a corner at its cap stays
-        # quiet there), so every winding and running sum below stays finite
-        # where a 1e308 s step at 7 mm/s would not
-        fastest = max((self._rates[c - 1] for c in engaged), default=0.0)
-        reach = max(self.layout.rest_radii) / fastest if fastest else math.inf
-        n = int(np.argmax(np.append(grid - starts >= reach, True)))
-        if n == 0:
-            return grid[:0], np.empty((0, 4))
-        grid, starts = grid[:n], starts[:n]
         quiet = grid < boundary
         u = np.tile(state.contractions, (len(grid), 1))
         cap = self.program.max_contraction
-        for corner in engaged:
-            rate = self._rates[corner - 1]
-            column = rate * (grid - starts)
-            column[0] += state.contractions[corner - 1]
-            column = np.cumsum(column)
-            if cap is not None:
-                # _advanced clamps every step; the sum never decreases, so
-                # clamping the running sum gives the same contractions
-                column = np.minimum(column, cap)
-                head = cap - np.concatenate(
-                    ([state.contractions[corner - 1]], column[:-1]))
-                if rate > 0 and float(starts[-1]) + cap / rate < math.inf:
-                    # no head exceeds the cap, so no crossing time overflows
-                    quiet &= (head <= 0) | (grid < starts + head / rate)
-                elif rate > 0:
-                    # so slow a rate (a 1e-310 take-up) that the crossing
-                    # passes the largest float: Python rounds it to inf with
-                    # no warning, as _advance does
-                    quiet &= [h <= 0 or g < s + h / rate for g, s, h in zip(
-                        grid.tolist(), starts.tolist(), head.tolist())]
-            u[:, corner - 1] = column
-        # radii raises RadiusInversionError there; leave that to _advance
-        quiet &= (u < self.layout.rest_radii).all(axis=1)
-        dbx, dby = mass_offset_xy(self.layout, (self.layout.rest_radii - u).T)
         phi = state.roll_angle
         c, s = unit(phi)
-        report = TippingReport(c * dbx - s * dby,
-                               *ground_pivots(self.layout, phi),
-                               self.contact_lever)
-        quiet &= report.direction == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for corner in engaged:
+                rate = self._rates[corner - 1]
+                column = rate * (grid - starts)
+                column[0] += state.contractions[corner - 1]
+                column = np.cumsum(column)
+                if cap is not None:
+                    # _advanced clamps every step; the sum never decreases,
+                    # so clamping the running sum gives the same contractions
+                    column = np.minimum(column, cap)
+                    head = cap - np.concatenate(
+                        ([state.contractions[corner - 1]], column[:-1]))
+                    if rate > 0:
+                        quiet &= (head <= 0) | (grid < starts + head / rate)
+                u[:, corner - 1] = column
+            # radii raises RadiusInversionError there; leave that to _advance
+            quiet &= (u < self.layout.rest_radii).all(axis=1)
+            dbx, dby = mass_offset_xy(self.layout,
+                                      (self.layout.rest_radii - u).T)
+            report = TippingReport(c * dbx - s * dby,
+                                   *ground_pivots(self.layout, phi),
+                                   self.contact_lever)
+            quiet &= report.direction == 0
         n = len(grid) if quiet.all() else int(np.argmin(quiet))
         return grid[:n], u[:n]
 

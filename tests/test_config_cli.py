@@ -432,6 +432,42 @@ class TestFitCli:
             float(np.max(np.abs(npoly.polyval(angles, force_coeffs) - forces))),
             float(np.max(np.abs(npoly.polyval(angles, return_coeffs) - returns))))
 
+    @pytest.mark.parametrize("rows, message", [
+        ("10,0.1,1\n10,0.1,1\n10,0.12,1\n20,0.2,2\n20,0.21,2\n",
+         "2 distinct bend angles for degree 3"),
+        ("10,0.1,1\n" * 5, "1 distinct bend angles for degree 3")],
+        ids=("two-angles", "one-angle"))
+    def test_repeated_angles_are_one_angle(self, tmp_path, capsys, rows,
+                                           message):
+        # polyfit would only warn, and fit a cubic through two angles
+        csv_path = tmp_path / "meas.csv"
+        csv_path.write_text("theta_deg,force_N,return_deg\n" + rows)
+        out = tmp_path / "model.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", str(csv_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: underdetermined fit: {message}\n")
+        assert caught == []
+        assert not out.exists()
+
+    def test_a_byte_order_mark_reads_as_no_mark(self, tmp_path, capsys):
+        # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+        text = "theta_deg,force_N,return_deg\n" + "".join(
+            f"{deg},{0.005 * deg:.4f},{0.16 * deg:.3f}\n"
+            for deg in range(10, 70, 10))
+        assert text.encode("utf-8-sig") == b"\xef\xbb\xbf" + text.encode()
+        models = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            csv_path = tmp_path / f"{encoding}.csv"
+            csv_path.write_text(text, encoding=encoding)
+            out = tmp_path / f"{encoding}.json"
+            assert main(["fit", str(csv_path), "--out", str(out)]) == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+        assert capsys.readouterr().err == ""
+
     def test_fit_takes_a_negative_intercept(self, tmp_path, capsys):
         # every force is >= 0, but the cubic's value at zero bend is
         # -0.00238 N; no path reads the curve there

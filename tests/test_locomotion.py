@@ -451,6 +451,34 @@ class TestRunProgram:
         assert (np.diff(times) > 0).all()
         assert times[-1] == duration
 
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from(("cyclic", "pyramid", "spindle5",
+                                 "spindle10")),
+           duration=st.floats(0.0, 40.0), exponent=st.floats(0.0, 1.0))
+    @example(mode="pyramid", duration=40.0, exponent=1.0)
+    @example(mode="cyclic", duration=32.005, exponent=0.0)
+    def test_grid_rows_are_finite_and_on_the_grid(self, mode, duration,
+                                                  exponent):
+        # dt is log-uniform from duration / 20000 up to 1e308, where k * dt
+        # overflows from k = 2 on
+        low = math.log(duration / 20000 or 1e-3)
+        dt = min(math.exp(low + exponent * (math.log(1e308) - low)), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = simulator(duration=duration, mode=mode).run(dt=dt)
+        times = trace.columns[np.array(trace.tokens) == "", 0].tolist()
+        assert times == [min(k * dt, duration) for k in range(len(times))]
+        assert trace.stalled or times[-1] == duration
+        assert np.isfinite(trace.columns).all()
+
+    def test_an_integer_dt_is_the_float_grid(self):
+        def text(dt):
+            buffer = io.StringIO()
+            simulator(duration=36.1).run(dt=dt).write_csv(buffer)
+            return buffer.getvalue()
+
+        assert text(7) == text(7.0)
+
     @pytest.mark.parametrize("dt", (0.0, -1.0, math.nan, math.inf))
     def test_dt_must_be_finite_and_positive(self, dt):
         with pytest.raises(ValueError, match="dt must be finite"):
@@ -1059,6 +1087,16 @@ class TestRunMatchesStepFold:
             ("engagement_end:4", 4.0), ("engagement_start:1", 4.0),
             ("engagement_end:1", 8.0), ("engagement_start:2", 8.0)]
         assert_grid_records_are_step_fold(sim, 0.25)
+
+    def test_long_steps_past_a_capped_corner(self):
+        # corner 1 (2.79 mm/s) reaches its cap in the first 40 s step, in
+        # which it could wind its whole 94.4 mm rest radius; corners 2-4
+        # wind 100 times slower, and the steps up to their cap (899 s) are
+        # quiet
+        sim = simulator(duration=1000.0, mode="pyramid",
+                        schedule=EngagementSchedule.spindle(
+                            (1, 0.01, 0.01, 0.01)))
+        assert_grid_records_are_step_fold(sim, 40.0)
 
     def test_stroke_reaching_the_rest_radius_raises(self):
         # four equal take-ups keep the COM centred, so nothing tips, and
