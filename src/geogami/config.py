@@ -10,6 +10,7 @@ Presets ship inside the package; the ``GEOGAMI_PRESET_DIR`` environment
 variable overrides their location.
 """
 
+import errno
 import json
 import math
 import os
@@ -114,7 +115,7 @@ class ProgramSpec:
     mode: str = "cyclic"
     first_corner: int = EngagementSchedule.first_corner
     initial_roll_deg: float = 0.0
-    max_contraction_mm: Optional[float] = None
+    max_contraction_mm: Optional[float] = None   # None = no cap
     spindle_max_contraction_mm: float = 25.1
     release_model: str = ActuationProgram.release_model.value
     origami: bool = True
@@ -219,6 +220,8 @@ class RunConfig:
                 "with-origami damping ratio must be >= without-origami "
                 "(set allow_damping_override to relax)")
         damping_spec = with_d if p.origami else without_d
+        cap = p.max_contraction_mm if p.mode == "cyclic" \
+            else p.spindle_max_contraction_mm
         return ActuationProgram(
             motor_speed=p.motor_speed_rad_s,
             duration=p.duration_s,
@@ -229,8 +232,7 @@ class RunConfig:
                 frequency_hz=damping_spec.frequency_hz,
                 damping_ratio=damping_spec.damping_ratio,
                 amplitude_rad=math.radians(damping_spec.amplitude_deg)),
-            max_contraction=p.max_contraction_mm if p.mode == "cyclic"
-            else p.spindle_max_contraction_mm)
+            max_contraction=math.inf if cap is None else cap)
 
     def build_simulator(self, mode: Optional[str] = None,
                         origami: Optional[bool] = None) -> Simulator:
@@ -407,8 +409,12 @@ def open_atomic(path: str) -> Iterator[TextIO]:
     A failure in the ``with`` block leaves neither the target nor the temp
     file.  The file gets the mode ``open`` would give a new file (0666
     less the process umask), not the private 0600 of the temp file.
+    A directory target is refused with an error that names it, not the
+    temp file.
     """
     target = Path(path)
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name)
     try:

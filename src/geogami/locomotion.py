@@ -105,8 +105,8 @@ class DampingParams:
     amplitude_rad: float = math.radians(18.0)
 
     def __post_init__(self) -> None:
-        if not 0 < self.frequency_hz < math.inf:
-            raise ValueError("frequency must be finite and > 0")
+        if not 0 < 2 * math.pi * self.frequency_hz < math.inf:
+            raise ValueError("frequency must be > 0 with 2*pi*f finite")
         if not 0 <= self.damping_ratio <= 1:
             raise ValueError("damping ratio must be in [0, 1]")
         if not 0 <= self.amplitude_rad < math.inf:
@@ -140,13 +140,13 @@ class DampingParams:
         half the gap to its neighbour toward zero.  From here on the
         envelope ``amplitude * exp(-zeta * omega * dt)`` is at most a
         quarter of that gap, which leaves room for the rounding of
-        ``overlay``.  At ``phi = 0`` every nonzero value changes the sum,
-        so there is no such time.
+        ``overlay``.  Where that quarter rounds to 0 (``phi`` is 0 or
+        subnormal), there is no such time.
         """
-        if phi == 0:
-            return math.inf
         phi = abs(phi)
         limit = (phi - math.nextafter(phi, 0.0)) / 4
+        if limit == 0:
+            return math.inf
         if self.amplitude_rad < limit:
             return 0.0
         rate = self.damping_ratio * 2 * math.pi * self.frequency_hz
@@ -159,7 +159,7 @@ class DampingParams:
 class ActuationProgram:
     """Motor trajectory, schedule, release behavior, and damping overlay.
 
-    ``max_contraction`` is the saturation limit of a corner (mm); None
+    ``max_contraction`` is the saturation limit of a corner (mm); inf
     disables saturation (the cyclic drive is bounded by its engagement
     window instead).
     """
@@ -169,7 +169,7 @@ class ActuationProgram:
     schedule: EngagementSchedule
     release_model: ReleaseModel = ReleaseModel.INSTANT_RETURN
     damping: DampingParams = DampingParams()
-    max_contraction: Optional[float] = None
+    max_contraction: float = math.inf
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.motor_speed) and self.motor_speed >= 0):
@@ -178,9 +178,8 @@ class ActuationProgram:
         if not (math.isfinite(self.duration) and self.duration >= 0):
             raise ValueError(f"duration must be finite and >= 0, "
                              f"got {self.duration}")
-        if self.max_contraction is not None \
-                and not 0 < self.max_contraction < math.inf:
-            raise ValueError("max_contraction must be finite and > 0, or None")
+        if not self.max_contraction > 0:
+            raise ValueError("max_contraction must be > 0 (inf for no cap)")
 
     @property
     def roll_quantum(self) -> float:
@@ -466,17 +465,13 @@ class Simulator:
         u = list(state.contractions)
         cap = self.program.max_contraction
         for corner in engaged:
-            value = u[corner - 1] + self._rates[corner - 1] * dt
-            if cap is not None:
-                value = min(value, cap)
-            u[corner - 1] = value
+            u[corner - 1] = min(u[corner - 1] + self._rates[corner - 1] * dt,
+                                cap)
         return self._with_contractions(state, u, time)
 
     def _released_contraction(self, contraction: float) -> float:
         """Contraction retained after the cable goes slack at disengagement."""
         if self.program.release_model is ReleaseModel.INSTANT_RETURN:
-            return 0.0
-        if contraction <= 0:
             return 0.0
         joint = default_joint_model(JointFamily.FOLDING_24MM)
         theta = contraction * _BEND_PER_CONTRACTION
@@ -506,7 +501,7 @@ class Simulator:
         apart by ulps, would never repeat.
         """
         duration = self.program.duration
-        cap = self.program.max_contraction or math.inf   # a cap is > 0
+        cap = self.program.max_contraction
         if self._spindle_corners is not None:
             for corner, rate in enumerate(self._rates, 1):
                 yield corner, min(rate * duration, cap)
@@ -537,10 +532,10 @@ class Simulator:
         permanently; the cyclic drive releases at the window boundary and
         carries on, so it never stalls here.
         """
-        cap = self.program.max_contraction
         engaged = self._spindle_corners
-        if not engaged or cap is None:
+        if not engaged:
             return None
+        cap = self.program.max_contraction
         if any(state.contractions[c - 1] < cap for c in engaged):
             return None
         if self._tip_check(state).tipping:
@@ -636,14 +631,14 @@ class Simulator:
             engaged, boundary = self._engagement(t0)
             t_sat = math.inf
             sat_corner = None
-            if cap is not None:
-                for corner in engaged:
-                    rate = self._rates[corner - 1]
-                    head = cap - state.contractions[corner - 1]
-                    if rate > 0 and head > 0:
-                        t_cross = t0 + head / rate
-                        if t_cross < t_sat:
-                            t_sat, sat_corner = t_cross, corner
+            for corner in engaged:
+                rate = self._rates[corner - 1]
+                head = cap - state.contractions[corner - 1]
+                if rate > 0 and head > 0:
+                    # an uncapped corner crosses at inf, never before t_sat
+                    t_cross = t0 + head / rate
+                    if t_cross < t_sat:
+                        t_sat, sat_corner = t_cross, corner
             t_stop = min(t_end, boundary, t_sat)
 
             probe = self._advanced(state, engaged, t_stop)
@@ -819,15 +814,13 @@ class Simulator:
                 rate = self._rates[corner - 1]
                 column = rate * (grid - starts)
                 column[0] += state.contractions[corner - 1]
-                column = np.cumsum(column)
-                if cap is not None:
-                    # _advanced clamps every step; the sum never decreases,
-                    # so clamping the running sum gives the same contractions
-                    column = np.minimum(column, cap)
-                    head = cap - np.concatenate(
-                        ([state.contractions[corner - 1]], column[:-1]))
-                    if rate > 0:
-                        quiet &= (head <= 0) | (grid < starts + head / rate)
+                # _advanced clamps every step; the sum never decreases, so
+                # clamping the running sum gives the same contractions
+                column = np.minimum(np.cumsum(column), cap)
+                head = cap - np.concatenate(
+                    ([state.contractions[corner - 1]], column[:-1]))
+                if rate > 0:
+                    quiet &= (head <= 0) | (grid < starts + head / rate)
                 u[:, corner - 1] = column
             # radii raises RadiusInversionError there; leave that to _advance
             quiet &= (u < self.layout.rest_radii).all(axis=1)

@@ -487,6 +487,25 @@ class TestFitCli:
             npoly.polyfit(angles, returns, 3).tolist()
         assert model["force_coeffs"][0] == pytest.approx(-0.00238, abs=1e-5)
 
+    @pytest.mark.parametrize("out", ("models", "."))
+    def test_directory_out_is_named(self, tmp_path, capsys, monkeypatch, out):
+        # the line names the user's path, not open_atomic's temp file
+        monkeypatch.chdir(tmp_path)
+        Path("models").mkdir()
+        Path("meas.csv").write_text(
+            "theta_deg,force_N,return_deg\n" + "".join(
+                f"{deg},{0.005 * deg:.4f},{0.16 * deg:.3f}\n"
+                for deg in range(10, 70, 10)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", "meas.csv", "--out", out])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 21] Is a directory: '{out}'\n")
+        assert caught == []
+        assert sorted(os.listdir()) == ["meas.csv", "models"]
+        assert os.listdir("models") == []
+
     def test_fit_empty_file(self, tmp_path, capsys):
         csv_path = tmp_path / "empty.csv"
         csv_path.write_text("theta_deg,force_N,return_deg\n")
@@ -1147,6 +1166,28 @@ class TestInputChecks:
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ("simulate", "sweep"))
+    def test_frequency_with_an_infinite_angular_rate(self, tmp_path, capsys,
+                                                     command):
+        # 2*pi*1e308 is inf, and the ring-down at dt = 0 would be inf * 0
+        data = load_preset("paper-table1").to_dict()
+        data["program"]["damping_with_origami"]["frequency_hz"] = 1e308
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        argv, point = [command, "--config", str(path)], ""
+        if command == "sweep":
+            argv += ["--param", "program.motor_speed_rad_s", "--values", "30"]
+            point = "value 30: "
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--out", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {point}frequency must be "
+                                           "> 0 with 2*pi*f finite\n")
+        assert caught == []
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("section, key, value, error", [
         ("mass_layout", "corner_masses_kg", [0.25] * 3,
          "mass_layout needs 4 corners"),
@@ -1716,6 +1757,25 @@ class TestStartPose:
             config.build_simulator()
         assert str(exc.value) == \
             f"program.initial_roll_deg must be finite, got {start}"
+
+    @pytest.mark.parametrize("mode", SIMULATION_MODES)
+    def test_subnormal_start_runs(self, tmp_path, capsys, mode):
+        # settled_after's quarter gap of a 1e-310 start rounds to 0.0, which
+        # its log(amplitude / gap) cannot divide by
+        data = load_preset("paper-table1").to_dict()
+        data["program"]["initial_roll_deg"] = 1e-310
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        summaries = []
+        for argv in (["--config", str(path)], ["--preset", "paper-table1"]):
+            assert main(["simulate", *argv, "--mode", mode,
+                         "--out", str(tmp_path)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            summaries.append(captured.out.splitlines()[-1])
+        assert summaries[0] == summaries[1]
+        if mode == "cyclic":
+            assert summaries[0] == "rolls=4 travel_mm=593.1 stall=no"
 
     @pytest.mark.parametrize("start", (450.0, -270.0, 90.0 + 360.0 * 1000))
     def test_start_is_reduced_modulo_a_turn(self, start):

@@ -26,8 +26,10 @@ GOLDEN_SHA256 = {
 # (other ground pivots, 3 rolls), a preset whose window is a full turn, a
 # strict COM-past-vertex tip, balanced exactly over the pivot at rest, and
 # feet off the 45-degree lattice: two mirrored feet that stand level only
-# through the pivot tolerance (no roll), and one backward tip at 21.19 s
+# through the pivot tolerance (no roll), one backward tip at 21.19 s, and
+# a cyclic drive capped at 24 mm (4 saturations, 4 rolls)
 VARIANT_SHA256 = {
+    "cyclic-cap-24": "7bfb0987c70c66d8df549c842ff4ba0b459b222735e58a391d16d67a43fc4a73",
     "contact-lever-0": "47f0ba3ab2618a95d9681fb1e0e89c418642adab1a6a104310d5cde7cd5521ee",
     "dt-1e-2": "840cd07100d9e6ec7b1a13be1926549123e50a167fa088e2ad644a2838fb35b1",
     "mirror-feet": "53d95de4b5714112cddffa1574c849afe913106ca17910d5d0c2220a3d4024a5",
@@ -61,6 +63,7 @@ def test_variant_trace_bytes(variant, tmp_path, capsys):
             "symmetric-test": ["--preset", "symmetric-test"]}.get(variant)
     changes = {
         "initial-roll-90": [("program", "initial_roll_deg", 90.0)],
+        "cyclic-cap-24": [("program", "max_contraction_mm", 24.0)],
         "contact-lever-0": [("support", "contact_lever_mm", 0.0)],
         "mirror-feet": [("mass_layout", "ray_angles_deg",
                          [90.0, 0.0, 255.0, 285.0])],

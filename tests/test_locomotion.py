@@ -704,6 +704,19 @@ class TestOscillationOverlay:
         assert undamped.settled_after(math.pi) == math.inf
         assert DampingParams(amplitude_rad=0.0).settled_after(math.pi) == 0.0
 
+    @pytest.mark.parametrize("phi", (1e-310, -1e-310, 5e-324))
+    def test_ring_down_never_settles_at_a_subnormal_angle(self, phi):
+        # the quarter gap rounds to 0.0, as it is at phi = 0
+        assert (abs(phi) - math.nextafter(abs(phi), 0.0)) / 4 == 0.0
+        assert DampingParams().settled_after(phi) == math.inf
+
+    @pytest.mark.parametrize("frequency", (1e308, 3e307))
+    def test_frequency_needs_a_finite_angular_rate(self, frequency):
+        # overlay's omega = 2*pi*f would be inf, and omega * 0 is nan
+        assert math.isinf(2 * math.pi * frequency)
+        with pytest.raises(ValueError, match=r"2\*pi\*f finite"):
+            DampingParams(frequency_hz=frequency)
+
 
 # the float fields of the domain types (the program's speed and duration
 # have their own test below); ``name.k`` is item k of a tuple
@@ -723,13 +736,14 @@ _FLOAT_FIELDS = [
 
 class TestProgramValidation:
     # a sign test written ``x <= 0`` lets NaN through; inf is a value only
-    # for the cable, where it means inextensible
+    # for the cable and the cap, where it means unbounded
     @pytest.mark.parametrize("instance, field, value", [
         pytest.param(instance, field, value,
                      id=f"{type(instance).__name__}.{field}={value}")
         for instance, names in _FLOAT_FIELDS for field in names
         for value in (math.nan, math.inf, -math.inf)
-        if (field, value) != ("cable_stiffness", math.inf)])
+        if (field, value) not in (("cable_stiffness", math.inf),
+                                  ("max_contraction", math.inf))])
     def test_domain_types_refuse_non_finite(self, instance, field, value):
         name, _, index = field.partition(".")
         if index:
@@ -738,6 +752,17 @@ class TestProgramValidation:
             value = tuple(items)
         with pytest.raises(ValueError):
             dataclasses.replace(instance, **{name: value})
+
+    @pytest.mark.parametrize("cap", (0.0, -0.0, -1.0))
+    def test_cap_must_be_positive(self, cap):
+        with pytest.raises(ValueError, match="inf for no cap"):
+            ActuationProgram(30.0, 36.1, EngagementSchedule.cyclic(),
+                             max_contraction=cap)
+
+    def test_no_cap_is_inf(self):
+        program = ActuationProgram(30.0, 36.1, EngagementSchedule.cyclic())
+        assert program.max_contraction == math.inf
+        assert CONFIG.build_program().max_contraction == math.inf
 
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError, match="winding positive"):
@@ -1101,7 +1126,7 @@ class TestRunMatchesStepFold:
     def test_stroke_reaching_the_rest_radius_raises(self):
         # four equal take-ups keep the COM centred, so nothing tips, and
         # with no cap the 94.4 mm rest radius is reached after 33.8 s
-        sim = simulator(duration=40.0, max_contraction=None,
+        sim = simulator(duration=40.0, max_contraction=math.inf,
                         schedule=EngagementSchedule.spindle((1, 1, 1, 1)))
         with pytest.raises(RadiusInversionError,
                            match="reaches rest radius") as from_run:
